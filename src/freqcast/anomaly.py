@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidLengthError, ShapeError
-from .data import ArrayWindows
+from .errors import InvalidArgumentError, ShapeError
+from .data import ArrayWindows, sliding_windows
 from .model import ComplexLinear, ModelConfig, model_forward
 
 MAX_THRESHOLD_CANDIDATES = 10_000
@@ -52,14 +52,12 @@ def downsample(window: np.ndarray, factor: int) -> np.ndarray:
 
 
 def reconstruction_windows(rows: np.ndarray, window: int, factor: int) -> ArrayWindows:
-    """Stride-1 training pairs: downsampled window in, original window out."""
-    rows = np.asarray(rows, dtype=np.float64)
-    count = rows.shape[0] - window + 1
-    if count < 1:
-        raise InvalidLengthError(f"{rows.shape[0]} rows cannot fit a {window}-row window")
-    starts = np.arange(count)
-    full = rows[starts[:, None] + np.arange(window)[None, :]]
-    return ArrayWindows(full[:, ::factor, :], full)
+    """Stride-1 training pairs: downsampled window in, original window out.
+
+    Both are read-only views of `rows`.
+    """
+    view = sliding_windows(rows, window)
+    return ArrayWindows(view[:, ::factor], view)
 
 
 def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
@@ -70,27 +68,24 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     the series end so the tail is covered; rows scored by both are averaged.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2:
-        raise ShapeError(f"series must be T x C, got shape {series.shape}")
-    t = series.shape[0]
-    if t < window:
-        raise InvalidLengthError(f"series has {t} rows, window needs {window}")
-    if cfg.input_len != window // factor or cfg.output_len != window:
+    view = sliding_windows(series, window)
+    if factor < 1 or window % factor or cfg.input_len != window // factor \
+            or cfg.output_len != window:
         raise InvalidArgumentError(
             f"model maps {cfg.input_len} -> {cfg.output_len}, but scoring asks "
-            f"{window // factor} -> {window}"
+            f"window {window} at factor {factor}"
         )
-    starts = list(range(0, t - window + 1, window))
+    t = series.shape[0]
+    starts = np.arange(0, t - window + 1, window)
     if starts[-1] != t - window:
-        starts.append(t - window)
+        starts = np.append(starts, t - window)
 
+    full = view[starts]
+    recon = model_forward(full[:, ::factor], cfg, layer)
     total = np.zeros(t)
     hits = np.zeros(t)
-    inputs = np.stack([downsample(series[s : s + window], factor) for s in starts])
-    recon = model_forward(inputs, cfg, layer)
-    for i, s in enumerate(starts):
-        err = np.mean((recon[i] - series[s : s + window]) ** 2, axis=1)
-        total[s : s + window] += err
+    for s, r, f in zip(starts, recon, full):
+        total[s : s + window] += np.mean((r - f) ** 2, axis=1)
         hits[s : s + window] += 1.0
     coverage = hits > 0
     scores = np.where(coverage, total / np.maximum(hits, 1.0), 0.0)

@@ -4,7 +4,8 @@ Runs are configured by a flat ``key = value`` text file plus ``--set``
 overrides; every key is validated against the command schema before any work
 starts and unknown keys are rejected. Each run writes into a fresh
 timestamped directory under ``--out`` (never overwritten; ``grid --resume``
-reuses an existing directory and skips finished combinations). Relative
+reuses an existing directory, refuses a config that differs from the run's
+``config.json``, and skips finished combinations). Relative
 dataset paths are resolved against $FREQCAST_DATA when set.
 
 Exit codes: 0 success, 2 config error, 3 runtime/numeric error.
@@ -29,6 +30,9 @@ from . import training as trn
 from .errors import ConfigError, FreqcastError
 
 DATA_ROOT_ENV = "FREQCAST_DATA"
+DETECT_WINDOW_FACTOR = {"window": 200, "factor": 4}
+# grid keys that vary inside one run; every other key must match on --resume
+GRID_SWEPT = ("look_backs", "harmonics", "supervisions")
 
 
 # --- config schema ----------------------------------------------------------
@@ -60,8 +64,13 @@ def _str(text):
     return text
 
 
-def _int_list(text):
-    return [_int(part) for part in text.split(",") if part.strip()]
+def _list_of(parse):
+    def parse_list(text):
+        items = [parse(part) for part in text.split(",") if part.strip()]
+        if not items:
+            raise ConfigError(f"expected a comma-separated list, got {text!r}")
+        return items
+    return parse_list
 
 
 def _harmonic(text):
@@ -73,20 +82,12 @@ def _harmonic(text):
     return value
 
 
-def _harmonic_list(text):
-    return [_harmonic(part) for part in text.split(",") if part.strip()]
-
-
 def _supervision(text):
     try:
         return mdl.Supervision(text.strip())
     except ValueError:
         choices = ", ".join(s.value for s in mdl.Supervision)
         raise ConfigError(f"supervision must be one of: {choices}; got {text!r}") from None
-
-
-def _supervision_list(text):
-    return [_supervision(part) for part in text.split(",") if part.strip()]
 
 
 _TRAIN_COMMON = {
@@ -111,16 +112,16 @@ SCHEMAS = {
         "horizon": (_int, None),
         "harmonic": (_harmonic, 0),
         "supervision": (_supervision, mdl.Supervision.BACKCAST_AND_FORECAST),
-        "seeds": (_int_list, [0, 1, 2, 3, 4]),
+        "seeds": (_list_of(_int), [0, 1, 2, 3, 4]),
     },
     "grid": {
         **_DATASET_COMMON,
         **_TRAIN_COMMON,
         "horizon": (_int, None),
-        "look_backs": (_int_list, [90, 180, 360, 720]),
-        "harmonics": (_harmonic_list, None),
-        "supervisions": (_supervision_list, list(mdl.Supervision)),
-        "seeds": (_int_list, [0, 1, 2, 3, 4]),
+        "look_backs": (_list_of(_int), [90, 180, 360, 720]),
+        "harmonics": (_list_of(_harmonic), None),
+        "supervisions": (_list_of(_supervision), list(mdl.Supervision)),
+        "seeds": (_list_of(_int), [0, 1, 2, 3, 4]),
     },
     "eval": {
         **_DATASET_COMMON,
@@ -132,8 +133,9 @@ SCHEMAS = {
         "label_column": (_str, None),
         "timestamp_column": (_bool, False),
         "train_rows": (_int, None),
-        "window": (_int, 200),
-        "factor": (_int, 4),
+        # unset: taken from the checkpoint, else DETECT_WINDOW_FACTOR
+        "window": (_int, None),
+        "factor": (_int, None),
         "checkpoint": (_str, None),
         "train_first": (_bool, False),
         "dump_scores": (_bool, False),
@@ -332,7 +334,27 @@ def _config_echo(cfg: dict, model_cfg: mdl.ModelConfig) -> dict:
     }
 
 
+def _pin_grid_config(cfg: dict, run_dir: Path, resume: bool) -> None:
+    """Write the run's fixed keys to config.json; on resume, refuse a change."""
+    pinned = {k: v for k, v in cfg.items() if k not in GRID_SWEPT}
+    path = run_dir / "config.json"
+    if resume and path.exists():
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        current = json.loads(json.dumps(pinned))
+        changed = sorted(k for k in stored.keys() | current.keys()
+                         if stored.get(k) != current.get(k))
+        if changed:
+            raise ConfigError(
+                f"--resume config differs from {path} in: "
+                + ", ".join(f"{k} ({stored.get(k)!r} -> {current.get(k)!r})"
+                            for k in changed)
+            )
+    else:
+        write_json(path, pinned)
+
+
 def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
+    _pin_grid_config(cfg, run_dir, resume)
     profile = dataset_profile(cfg)
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     train_range, _, _ = dat.chrono_split(frame, profile)
@@ -340,7 +362,11 @@ def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
     spec = _train_spec(cfg, cfg["seeds"])
 
     grid_path = run_dir / "grid.csv"
-    done_rows = trn.read_grid_csv(grid_path) if resume and grid_path.exists() else []
+    done_rows = []
+    if resume and grid_path.exists():
+        done_rows = trn.read_grid_csv(grid_path)
+        # rewrite the log so a dropped torn row cannot prefix the next append
+        _write_atomic(grid_path, lambda p: trn.write_grid_csv(p, done_rows))
     done = {(r.look_back, r.harmonic, r.supervision) for r in done_rows}
 
     def on_row(row):
@@ -367,15 +393,19 @@ def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
           f"{selected.supervision} (val MSE {selected.val_mse:.6f})")
 
 
-def cmd_eval(cfg: dict, run_dir: Path) -> None:
-    model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
-    profile = dataset_profile(cfg)
-    frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
+def _check_channels(model_cfg: mdl.ModelConfig, frame: dat.SeriesFrame) -> None:
     if frame.channels != model_cfg.channels:
         raise ConfigError(
             f"checkpoint was trained on {model_cfg.channels} channels, "
             f"dataset has {frame.channels}"
         )
+
+
+def cmd_eval(cfg: dict, run_dir: Path) -> None:
+    model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
+    profile = dataset_profile(cfg)
+    frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
+    _check_channels(model_cfg, frame)
     train_range, _, _ = dat.chrono_split(frame, profile)
     frame_std, _ = dat.standardize(frame, train_range)
     _, val_w, test_w = dat.split_windows(
@@ -393,12 +423,24 @@ def cmd_eval(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
-    if cfg["window"] % cfg["factor"] != 0:
-        raise ConfigError(
-            f"factor {cfg['factor']} does not divide window {cfg['window']}"
-        )
     if not cfg["checkpoint"] and not cfg["train_first"]:
         raise ConfigError("detect needs either 'checkpoint' or 'train_first = true'")
+    model_cfg = layer = None
+    shape = DETECT_WINDOW_FACTOR
+    if cfg["checkpoint"]:
+        model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
+        shape = {"window": model_cfg.output_len,
+                 "factor": model_cfg.output_len // model_cfg.input_len}
+        for key, value in shape.items():
+            if cfg[key] is not None and cfg[key] != value:
+                raise ConfigError(
+                    f"config {key} {cfg[key]} disagrees with the checkpoint's {value}"
+                )
+    window, factor = (shape[k] if cfg[k] is None else cfg[k] for k in ("window", "factor"))
+    if window < 1 or factor < 1:
+        raise ConfigError(f"window and factor must be >= 1, got {window}/{factor}")
+    if window % factor != 0:
+        raise ConfigError(f"factor {factor} does not divide window {window}")
 
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     if cfg["label_column"]:
@@ -414,16 +456,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     frame_std, _ = dat.standardize(frame, (0, split))
     values = frame_std.values
 
-    window, factor = cfg["window"], cfg["factor"]
-    if cfg["checkpoint"]:
-        model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
-        derived = (model_cfg.output_len, model_cfg.output_len // model_cfg.input_len)
-        if (window, factor) not in (derived, (200, 4)):
-            raise ConfigError(
-                f"config window/factor {window}/{factor} disagree with the "
-                f"checkpoint's {derived[0]}/{derived[1]}"
-            )
-        window, factor = derived
+    if model_cfg is not None:
+        _check_channels(model_cfg, frame)
     else:
         model_cfg = mdl.ModelConfig.for_reconstruction(window, factor, frame.channels)
         windows = ad.reconstruction_windows(values[:split], window, factor)

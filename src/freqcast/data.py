@@ -1,6 +1,9 @@
 """Dataset ingestion, chronological splits, windowing, and the synthetic
 anomaly generator.
 
+Windows are strided views of the series rows (`sliding_windows`); `batch`
+copies only the rows it returns.
+
 Splits follow the long-horizon benchmark protocol: the hourly ETT files use
 fixed 8640/2880/2880 row splits, the 15-minute ETT files 34560/11520/11520,
 and everything else 70/10/20. Validation/test ranges are extended backward
@@ -232,54 +235,24 @@ def destandardize(values: np.ndarray, stats: ChannelStats) -> np.ndarray:
     return values * stats.std + stats.mean
 
 
-class WindowSet:
-    """Stride-1 sliding (input, target) windows over a block of rows.
-
-    Windows are materialized per batch, never all at once, so a 700-step
-    look-back over months of data stays cheap. Targets cover the horizon
-    rows for forecast-only supervision and the full input+horizon segment
-    otherwise.
-    """
-
-    def __init__(self, rows: np.ndarray, input_len: int, horizon: int,
-                 supervision: Supervision):
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ShapeError(f"rows must be 2-D, got shape {rows.shape}")
-        count = rows.shape[0] - input_len - horizon + 1
-        if count < 1:
-            raise InvalidLengthError(
-                f"{rows.shape[0]} rows cannot fit a single {input_len}+{horizon} window"
-            )
-        self.rows = rows
-        self.input_len = input_len
-        self.horizon = horizon
-        self.supervision = supervision
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.asarray(indices, dtype=np.intp)
-        offs_in = np.arange(self.input_len)
-        x = self.rows[starts[:, None] + offs_in[None, :]]
-        if self.supervision is Supervision.FORECAST_ONLY:
-            offs_t = self.input_len + np.arange(self.horizon)
-        else:
-            offs_t = np.arange(self.input_len + self.horizon)
-        t = self.rows[starts[:, None] + offs_t[None, :]]
-        return x, t
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < self._count:
-            raise IndexError(i)
-        x, t = self.batch([i])
-        return x[0], t[0]
+def sliding_windows(rows: np.ndarray, length: int) -> np.ndarray:
+    """Every stride-1 `length`-row window of a T x C block as a read-only
+    (T - length + 1, length, C) view; no value is copied."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ShapeError(f"rows must be 2-D, got shape {rows.shape}")
+    if not 1 <= length <= rows.shape[0]:
+        raise InvalidLengthError(f"cannot cut {length}-row windows from {rows.shape[0]} rows")
+    return np.lib.stride_tricks.sliding_window_view(rows, length, axis=0).transpose(0, 2, 1)
 
 
 class ArrayWindows:
-    """Pre-materialized (input, target) pairs with the WindowSet interface."""
+    """(input, target) window pairs, shaped (n, rows, C) each.
+
+    Windows cut from a series are strided views of it (see `sliding_windows`);
+    `batch` copies only the rows it returns, so memory grows with series
+    length, not with series length times window.
+    """
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray):
         self.inputs = np.asarray(inputs, dtype=np.float64)
@@ -296,23 +269,35 @@ class ArrayWindows:
         return self.inputs[idx], self.targets[idx]
 
     def __getitem__(self, i: int):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
         return self.inputs[i], self.targets[i]
 
 
-def make_windows(rows: np.ndarray, input_len: int, horizon: int,
-                 supervision: Supervision) -> WindowSet:
-    return WindowSet(rows, input_len, horizon, supervision)
+class WindowSet(ArrayWindows):
+    """Stride-1 sliding forecast windows over a block of rows.
+
+    Targets cover the horizon rows for forecast-only supervision and the full
+    input+horizon segment otherwise. Inputs and targets are read-only views
+    of the rows.
+    """
+
+    def __init__(self, rows: np.ndarray, input_len: int, horizon: int,
+                 supervision: Supervision):
+        view = sliding_windows(rows, input_len + horizon)
+        targets = view[:, input_len:] if supervision is Supervision.FORECAST_ONLY else view
+        super().__init__(view[:, :input_len], targets)
 
 
 def split_windows(frame: SeriesFrame, profile: DatasetProfile, input_len: int,
                   horizon: int, supervision: Supervision):
     """(train, val, test) WindowSets with the border extension applied."""
     train_r, val_r, test_r = chrono_split(frame, profile)
-    train = make_windows(frame.values[train_r[0]:train_r[1]], input_len, horizon, supervision)
+    train = WindowSet(frame.values[train_r[0]:train_r[1]], input_len, horizon, supervision)
     val_e = lookback_extended(val_r, input_len)
     test_e = lookback_extended(test_r, input_len)
-    val = make_windows(frame.values[val_e[0]:val_e[1]], input_len, horizon, supervision)
-    test = make_windows(frame.values[test_e[0]:test_e[1]], input_len, horizon, supervision)
+    val = WindowSet(frame.values[val_e[0]:val_e[1]], input_len, horizon, supervision)
+    test = WindowSet(frame.values[test_e[0]:test_e[1]], input_len, horizon, supervision)
     return train, val, test
 
 

@@ -372,6 +372,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, ComplexLinear]:
     raw = Path(path).read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise InvalidValueError(f"{path}: not a recognized checkpoint (bad magic)")
+    if len(raw) < 72:
+        raise InvalidValueError(f"{path}: truncated header ({len(raw)} of 72 bytes)")
     ints = struct.unpack("<8q", raw[8:72])
     if ints[5] not in _SUP_FROM_CODE:
         raise InvalidValueError(f"{path}: unknown supervision code {ints[5]}")

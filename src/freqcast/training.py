@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError, TrainingDivergedError
+from .errors import InvalidArgumentError, ParseError, ShapeError, TrainingDivergedError
 from .model import (
     ComplexLinear,
     ModelConfig,
@@ -259,26 +259,51 @@ def write_history_csv(path, history) -> None:
             writer.writerow([h.epoch, f"{h.train_mse:.12g}", f"{h.val_mse:.12g}"])
 
 
+def _write_grid_rows(fh, rows, header: bool) -> None:
+    writer = csv.writer(fh)
+    if header:
+        writer.writerow(GRID_CSV_FIELDS)
+    for r in rows:
+        writer.writerow([r.look_back, r.harmonic, r.supervision,
+                         f"{r.val_mse:.12g}", f"{r.test_mse:.12g}",
+                         r.complex_entries, f"{r.epochs_ran:.12g}"])
+
+
+def write_grid_csv(path, rows) -> None:
+    """A fresh grid.csv holding exactly `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_grid_rows(fh, rows, header=True)
+
+
 def append_grid_csv(path, rows) -> None:
     path = Path(path)
-    write_header = not path.exists() or path.stat().st_size == 0
+    header = not path.exists() or path.stat().st_size == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if write_header:
-            writer.writerow(GRID_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([r.look_back, r.harmonic, r.supervision,
-                             f"{r.val_mse:.12g}", f"{r.test_mse:.12g}",
-                             r.complex_entries, f"{r.epochs_ran:.12g}"])
+        _write_grid_rows(fh, rows, header)
 
 
 def read_grid_csv(path) -> list[GridRow]:
-    rows = []
+    """Rows of a grid.csv log.
+
+    The log is appended one row per finished cell, so an interrupted run can
+    leave a final row without its line end; that torn row is dropped and its
+    cell reruns. Any other malformed row raises ParseError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(GridRow(
-                int(rec["look_back"]), int(rec["harmonic"]), rec["supervision"],
-                float(rec["val_mse"]), float(rec["test_mse"]),
-                int(rec["complex_entries"]), float(rec["epochs_ran"]),
-            ))
+        text = fh.read()
+    records = list(csv.reader(text.splitlines()))
+    if text and not text.endswith("\n"):
+        records.pop()  # torn final row
+    if records and records[0] != GRID_CSV_FIELDS:
+        raise ParseError(f"{path}: header {records[0]} is not {GRID_CSV_FIELDS}")
+    rows = []
+    for lineno, rec in enumerate(records[1:], start=2):
+        try:
+            look_back, harmonic, supervision, val, test, entries, epochs = rec
+            rows.append(GridRow(int(look_back), int(harmonic), supervision,
+                                float(val), float(test), int(entries), float(epochs)))
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {lineno} is not a {len(GRID_CSV_FIELDS)}-cell grid row: {rec}"
+            ) from None
     return rows

@@ -34,6 +34,9 @@ def test_reconstruction_windows():
     rows = np.arange(24.0).reshape(12, 2)
     ws = reconstruction_windows(rows, 8, 4)
     assert len(ws) == 5
+    # both sides are read-only views of the rows, not a T x window copy
+    assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
+    assert not ws.targets.flags.writeable
     x0, t0 = ws[0]
     assert np.array_equal(t0, rows[:8])
     assert np.array_equal(x0, rows[:8:4])

@@ -8,7 +8,7 @@ import pytest
 
 from freqcast.cli import main
 from freqcast.data import load_csv, write_series_csv
-from freqcast.model import load_checkpoint
+from freqcast.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from freqcast.training import read_grid_csv
 
 
@@ -246,3 +246,129 @@ def test_commands_do_not_mutate_inputs(tmp_path, sine_csv):
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     assert sine_csv.read_bytes() == before
+
+
+@pytest.fixture()
+def synth_stream(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--seed", "2",
+                 "--set", "length=600"]) == 0
+    (synth_dir,) = run_dirs(out)
+    return synth_dir / "synth_values.csv", synth_dir / "synth_labels.csv"
+
+
+def _recon_checkpoint(tmp_path, window, factor, channels):
+    cfg = ModelConfig.for_reconstruction(window, factor, channels)
+    path = tmp_path / f"recon-{window}-{factor}-{channels}.ckpt"
+    save_checkpoint(path, cfg, init_params(cfg, 0))
+    return path
+
+
+@pytest.mark.parametrize("keys, code", [
+    ({}, 0),                               # unset: taken from the checkpoint
+    ({"window": 80}, 0),                   # set and agreeing
+    ({"window": 200, "factor": 4}, 2),     # set explicitly, disagreeing
+    ({"factor": 2}, 2),
+])
+def test_detect_window_factor_from_checkpoint(tmp_path, synth_stream, capsys, keys, code):
+    values, labels = synth_stream
+    ckpt = _recon_checkpoint(tmp_path, 80, 4, 1)
+    cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels,
+                       train_rows=375, **keys)
+    out = tmp_path / "runs"
+    assert main(["detect", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(ckpt)]) == code
+    if code == 0:
+        (run_dir,) = run_dirs(out)
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["window"], report["factor"]) == (80, 4)
+    else:
+        assert "disagrees with the checkpoint" in capsys.readouterr().err
+
+
+def test_detect_checkpoint_channel_mismatch(tmp_path, synth_stream, capsys):
+    values, labels = synth_stream
+    ckpt = _recon_checkpoint(tmp_path, 80, 4, 3)
+    cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels, train_rows=375)
+    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--checkpoint", str(ckpt)]) == 2
+    assert "3 channels, dataset has 1" in capsys.readouterr().err
+
+
+def _grid_cfg(tmp_path, sine_csv, **keys):
+    return write_config(
+        tmp_path, "grid.cfg",
+        data=sine_csv, period=24, timestamp_column="false",
+        horizon=8, look_backs="16", harmonics="1,2",
+        supervisions="backcast+forecast", max_epochs=1, seeds="0", **keys,
+    )
+
+
+def test_grid_resume_refuses_changed_config(tmp_path, sine_csv, capsys):
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(_grid_cfg(tmp_path, sine_csv)),
+                 "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    before = (run_dir / "grid.csv").read_bytes()
+    changed = _grid_cfg(tmp_path, sine_csv, patience=3)
+    assert main(["grid", "--config", str(changed), "--resume", str(run_dir)]) == 2
+    assert "patience" in capsys.readouterr().err
+    assert (run_dir / "grid.csv").read_bytes() == before
+    # a changed sweep is not a changed config: the new cell is added
+    wider = _grid_cfg(tmp_path, sine_csv).read_text().replace("harmonics = 1,2",
+                                                               "harmonics = 1,2,3")
+    (tmp_path / "grid.cfg").write_text(wider)
+    assert main(["grid", "--config", str(tmp_path / "grid.cfg"),
+                 "--resume", str(run_dir)]) == 0
+    assert len(read_grid_csv(run_dir / "grid.csv")) == 3
+
+
+def test_grid_resume_drops_torn_final_row(tmp_path, sine_csv):
+    cfg = _grid_cfg(tmp_path, sine_csv)
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    grid = run_dir / "grid.csv"
+    full = grid.read_bytes()
+    grid.write_bytes(full[: full.rindex(b"\n", 0, -1) + 12])  # tear the last row
+    assert main(["grid", "--config", str(cfg), "--resume", str(run_dir)]) == 0
+    assert grid.read_bytes() == full
+
+
+def _torn_middle_grid(tmp_path, sine_csv):
+    cfg = _grid_cfg(tmp_path, sine_csv)
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    lines = (run_dir / "grid.csv").read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:12] + "\r\n"
+    (run_dir / "grid.csv").write_text("".join(lines))
+    return ["grid", "--config", str(cfg), "--resume", str(run_dir)]
+
+
+def _empty_seed_list(tmp_path, sine_csv):
+    cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
+                       timestamp_column="false", input_len=32, horizon=8, seeds=",")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
+def _truncated_checkpoint(tmp_path, sine_csv):
+    ckpt = tmp_path / "short.ckpt"
+    ckpt.write_bytes(_recon_checkpoint(tmp_path, 80, 4, 2).read_bytes()[:40])
+    cfg = write_config(tmp_path, "e.cfg", data=sine_csv, period=24,
+                       timestamp_column="false")
+    return ["eval", "--config", str(cfg), "--out", str(tmp_path / "r"),
+            "--checkpoint", str(ckpt)]
+
+
+@pytest.mark.parametrize("make_argv, code, message", [
+    (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
+    (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
+    (_truncated_checkpoint, 3, "truncated"),
+])
+def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
+    argv = make_argv(tmp_path, sine_csv)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1

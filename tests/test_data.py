@@ -3,19 +3,22 @@ checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freqcast.anomaly import reconstruction_windows
 from freqcast.data import (
     ArrayWindows,
     DatasetProfile,
     PROFILES,
     SeriesFrame,
     SplitRule,
+    WindowSet,
     chrono_split,
     destandardize,
     load_csv,
     load_labels,
     lookback_extended,
-    make_windows,
     split_label_column,
     split_windows,
     standardize,
@@ -155,13 +158,17 @@ def test_standardize_roundtrip():
 
 def test_make_windows_counts_and_contents():
     rows = np.arange(20).reshape(10, 2).astype(float)
-    ws = make_windows(rows, 4, 2, Supervision.FORECAST_ONLY)
+    ws = WindowSet(rows, 4, 2, Supervision.FORECAST_ONLY)
     assert len(ws) == 5  # 10 - 4 - 2 + 1
+    # inputs and targets are read-only views of the rows, not copies
+    assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
+    assert not ws.inputs.flags.writeable
     x0, t0 = ws[0]
     assert np.array_equal(x0, rows[0:4])
     assert np.array_equal(t0, rows[4:6])
 
-    both = make_windows(rows, 4, 2, Supervision.BACKCAST_AND_FORECAST)
+    both = WindowSet(rows, 4, 2, Supervision.BACKCAST_AND_FORECAST)
+    assert np.shares_memory(both.targets, rows)
     x1, t1 = both[3]
     assert np.array_equal(np.vstack([x1, t1[4:]]), rows[3:9])
     assert np.array_equal(t1, rows[3:9])
@@ -169,12 +176,12 @@ def test_make_windows_counts_and_contents():
 
 def test_make_windows_insufficient_rows():
     with pytest.raises(InvalidLengthError):
-        make_windows(np.zeros((5, 1)), 4, 2, Supervision.FORECAST_ONLY)
+        WindowSet(np.zeros((5, 1)), 4, 2, Supervision.FORECAST_ONLY)
 
 
 def test_windows_are_exhaustive_stride_one():
     rows = np.arange(30).reshape(15, 2).astype(float)
-    ws = make_windows(rows, 4, 3, Supervision.FORECAST_ONLY)
+    ws = WindowSet(rows, 4, 3, Supervision.FORECAST_ONLY)
     rebuilt = np.full_like(rows, np.nan)
     for i in range(len(ws)):
         x, t = ws[i]
@@ -185,9 +192,11 @@ def test_windows_are_exhaustive_stride_one():
 
 def test_window_batch_gather():
     rows = np.arange(40).reshape(20, 2).astype(float)
-    ws = make_windows(rows, 6, 2, Supervision.BACKCAST_AND_FORECAST)
+    ws = WindowSet(rows, 6, 2, Supervision.BACKCAST_AND_FORECAST)
     x, t = ws.batch([0, 5, 9])
     assert x.shape == (3, 6, 2) and t.shape == (3, 8, 2)
+    # a batch is a private copy of only the rows it returns
+    assert np.shares_memory(ws.inputs, rows) and not np.shares_memory(x, rows)
     assert np.array_equal(x[1], rows[5:11])
 
 
@@ -201,6 +210,52 @@ def test_split_windows_supervision_regions_disjoint():
     # the first val window reaches back into train rows by input_len-1
     x0, _ = val_w.batch([0])
     assert x0[0, 0, 0] == frame.values[70 - 7, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    channels=st.integers(1, 3),
+    input_len=st.integers(1, 12),
+    horizon=st.integers(0, 6),
+    supervision=st.sampled_from(list(Supervision)),
+    factor=st.integers(1, 4),
+    data=st.data(),
+)
+def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
+                                           supervision, factor, data):
+    series = np.arange(rows * channels, dtype=float).reshape(rows, channels)
+    span = input_len + horizon
+    forecast_only = supervision is Supervision.FORECAST_ONLY
+    cases = [(
+        lambda: WindowSet(series, input_len, horizon, supervision), span,
+        lambda s: (series[s : s + input_len],
+                   series[s + input_len * forecast_only : s + span]),
+    ), (
+        lambda: reconstruction_windows(series, span, factor), span,
+        lambda s: (series[s : s + span : factor], series[s : s + span]),
+    )]
+    for build, length, brute in cases:
+        if rows < length:
+            with pytest.raises(InvalidLengthError):
+                build()
+            continue
+        ws = build()
+        count = rows - length + 1
+        assert len(ws) == count
+        for i in range(count):
+            x, t = ws[i]
+            bx, bt = brute(i)
+            assert np.array_equal(x, bx) and np.array_equal(t, bt)
+        idx = data.draw(st.lists(st.integers(0, count - 1), max_size=6))
+        x, t = ws.batch(idx)
+        assert x.shape[0] == t.shape[0] == len(idx)
+        for k, i in enumerate(idx):
+            bx, bt = brute(i)
+            assert np.array_equal(x[k], bx) and np.array_equal(t[k], bt)
+        for bad in (-1, -count, count, count + 3):
+            with pytest.raises(IndexError):
+                ws[bad]
 
 
 def test_array_windows_interface():
