@@ -4,8 +4,9 @@ A window of the series is downsampled by an equidistant factor, reconstructed
 back to full length through the frequency-interpolation model, and every
 timestep is scored by its squared reconstruction error (averaged over
 channels). Timesteps whose score exceeds a threshold are flagged; the
-threshold is the quantile candidate that maximizes the point-adjusted F1 on
-a labeled validation series.
+threshold is the distinct score value that maximizes the point-adjusted F1 on
+a labeled validation series, found by one exact sweep over every distinct
+score.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError
+from .errors import InvalidArgumentError, InvalidValueError, ShapeError
 from .data import ArrayWindows, sliding_windows
 from .model import ComplexLinear, ModelConfig, model_forward
-
-MAX_THRESHOLD_CANDIDATES = 10_000
 
 
 @dataclass
@@ -92,6 +91,12 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     return AnomalyScores(scores, coverage)
 
 
+def _label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) of every maximal run of True labels."""
+    edges = np.flatnonzero(np.diff(labels.astype(np.int8), prepend=0, append=0))
+    return edges[0::2], edges[1::2]
+
+
 def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mark a whole labeled run as detected once any point inside it is.
 
@@ -101,16 +106,11 @@ def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=bool)
     if pred.shape != labels.shape:
         raise ShapeError(f"pred {pred.shape} and labels {labels.shape} differ")
+    starts, ends = _label_runs(labels)
+    # each reduceat segment is one run plus the unlabeled gap after it
+    detected = np.logical_or.reduceat(pred & labels, starts)
     adjusted = pred.copy()
-    edges = np.flatnonzero(np.diff(labels.astype(np.int8)))
-    starts = [0] if labels[0] else []
-    starts += [int(e) + 1 for e in edges if not labels[e]]
-    ends = [int(e) + 1 for e in edges if labels[e]]
-    if labels[-1]:
-        ends.append(labels.shape[0])
-    for s, e in zip(starts, ends):
-        if pred[s:e].any():
-            adjusted[s:e] = True
+    adjusted[labels] = np.repeat(detected, ends - starts)
     return adjusted
 
 
@@ -131,9 +131,15 @@ def prf1(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, flo
 
 
 def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, DetectionReport]:
-    """Quantile sweep (at most 10k candidates) maximizing point-adjusted F1.
+    """Exact sweep over every distinct score for the best point-adjusted F1.
 
-    Ties go to the higher threshold, i.e. fewer alarms.
+    A labeled run is detected at threshold th exactly when its maximum score
+    is above th, so point-adjusted TP and FP for every candidate come from
+    sorted run maxima and sorted unlabeled scores. The candidates are the
+    distinct scores, so the threshold is always a score value. Ties go to the
+    higher threshold, i.e. fewer alarms. The report is recomputed from the chosen
+    threshold, so `prf1(point_adjust(scores > threshold, labels), labels)`
+    reproduces it exactly.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -141,13 +147,29 @@ def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, Det
         raise ShapeError(f"scores {scores.shape} and labels {labels.shape} differ")
     if not labels.any():
         raise InvalidArgumentError("threshold selection needs at least one positive label")
-    qs = np.linspace(0.0, 1.0, min(MAX_THRESHOLD_CANDIDATES, scores.size))
-    candidates = np.unique(np.quantile(scores, qs))
+    if not np.isfinite(scores).all():
+        raise InvalidValueError(
+            f"{int(np.sum(~np.isfinite(scores)))} of {scores.size} anomaly scores "
+            f"are not finite"
+        )
+    candidates = np.unique(scores)
 
-    best = None
-    for th in candidates:
-        pred = point_adjust(scores > th, labels)
-        precision, recall, f1, accuracy = prf1(pred, labels)
-        if best is None or f1 >= best.f1:
-            best = DetectionReport(float(th), precision, recall, f1, accuracy, True)
-    return best.threshold, best
+    starts, ends = _label_runs(labels)
+    run_max = np.maximum.reduceat(np.where(labels, scores, -np.inf), starts)
+    order = np.argsort(run_max)
+    missed = np.concatenate([[0], np.cumsum((ends - starts)[order])])
+    n_pos = int(missed[-1])
+    tp = n_pos - missed[np.searchsorted(run_max[order], candidates, side="right")]
+    negatives = np.sort(scores[~labels])
+    fp = negatives.size - np.searchsorted(negatives, candidates, side="right")
+
+    # the same float expressions as prf1, one candidate per element
+    with np.errstate(invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = tp / n_pos
+        f1 = np.where(precision + recall > 0,
+                      2 * precision * recall / (precision + recall), 0.0)
+    best = candidates.size - 1 - int(np.argmax(f1[::-1]))
+    threshold = float(candidates[best])
+    precision, recall, f1, accuracy = prf1(point_adjust(scores > threshold, labels), labels)
+    return threshold, DetectionReport(threshold, precision, recall, f1, accuracy, True)

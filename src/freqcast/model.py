@@ -389,4 +389,6 @@ def load_checkpoint(path) -> tuple[ModelConfig, ComplexLinear]:
     flat = np.frombuffer(raw[72:], dtype="<c16")
     w = flat[: cfg.n_in * cfg.n_out].reshape(cfg.n_in, cfg.n_out).astype(np.complex128)
     b = flat[cfg.n_in * cfg.n_out :].astype(np.complex128)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise InvalidValueError(f"{path}: stored weights or bias are not all finite")
     return cfg, ComplexLinear(w, b)

@@ -4,6 +4,8 @@ exhaustive oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast.anomaly import (
     downsample,
@@ -13,7 +15,12 @@ from freqcast.anomaly import (
     score_series,
     select_threshold,
 )
-from freqcast.errors import InvalidArgumentError, InvalidLengthError, ShapeError
+from freqcast.errors import (
+    InvalidArgumentError,
+    InvalidLengthError,
+    InvalidValueError,
+    ShapeError,
+)
 from freqcast.model import ComplexLinear, ModelConfig, init_params
 
 
@@ -161,6 +168,11 @@ def test_point_adjust_never_hurts_f1():
         assert adj_f1 >= raw_f1 - 1e-12
 
 
+def test_point_adjust_empty():
+    out = point_adjust(np.zeros(0, bool), np.zeros(0, bool))
+    assert out.shape == (0,) and out.dtype == bool
+
+
 def test_point_adjust_length_mismatch():
     with pytest.raises(ShapeError):
         point_adjust(np.zeros(3, bool), np.zeros(4, bool))
@@ -241,3 +253,63 @@ def test_select_threshold_prefers_higher_on_ties():
     winners = [c for c in candidates
                if prf1(point_adjust(scores > c, labels), labels)[2] == 1.0]
     assert threshold == max(winners)
+
+
+def best_over_distinct_scores(scores, labels):
+    """Exhaustive oracle: (best point-adjusted F1, highest score reaching it)."""
+    f1s = {th: prf1(point_adjust(scores > th, labels), labels)[2]
+           for th in np.unique(scores)}
+    best = max(f1s.values())
+    return best, max(th for th, f1 in f1s.items() if f1 == best)
+
+
+def assert_exact_sweep(scores, labels):
+    threshold, report = select_threshold(scores, labels)
+    best_f1, best_threshold = best_over_distinct_scores(scores, labels)
+    assert report.f1 == best_f1
+    assert threshold == best_threshold
+    pred = point_adjust(scores > threshold, labels)
+    assert prf1(pred, labels) == (report.precision, report.recall,
+                                  report.f1, report.accuracy)
+
+
+def test_select_threshold_tries_every_score():
+    # a quantile sweep interpolates to just below 0.6 and misses this optimum
+    scores = np.array([0.3, 0.7, 0.6, 0.4, 0.5, 0.0, 0.2, 1.0])
+    labels = np.array([1, 1, 0, 0, 0, 1, 0, 1], dtype=bool)
+    threshold, report = select_threshold(scores, labels)
+    assert threshold == 0.6
+    assert report.f1 == 6 / 7
+
+
+@st.composite
+def tied_scores_and_labels(draw):
+    t = draw(st.integers(1, 300))
+    decimals = draw(st.integers(1, 4))
+    scores = np.round(draw(st.lists(st.floats(0, 1), min_size=t, max_size=t)), decimals)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+    labels[draw(st.integers(0, t - 1))] = True
+    return scores, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_scores_and_labels())
+def test_select_threshold_exact_on_tied_scores(case):
+    assert_exact_sweep(*case)
+
+
+def test_select_threshold_exact_past_ten_thousand_rows():
+    rng = np.random.default_rng(9)
+    scores = rng.integers(0, 40, 12_000) / 8.0
+    labels = np.zeros(12_000, dtype=bool)
+    for start in rng.integers(0, 11_950, 60):
+        labels[start : start + rng.integers(1, 50)] = True
+    scores[labels] += 1.0
+    assert_exact_sweep(scores, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_threshold_rejects_non_finite_scores(bad):
+    scores = np.array([0.1, bad, 0.3])
+    with pytest.raises(InvalidValueError, match="not finite"):
+        select_threshold(scores, np.array([0, 1, 0], dtype=bool))

@@ -295,6 +295,23 @@ def test_detect_checkpoint_channel_mismatch(tmp_path, synth_stream, capsys):
     assert "3 channels, dataset has 1" in capsys.readouterr().err
 
 
+def test_non_finite_checkpoint_exits_3_without_report(tmp_path, synth_stream, capsys):
+    values, labels = synth_stream
+    cfg = ModelConfig.for_reconstruction(80, 4, 1)
+    layer = init_params(cfg, 0)
+    layer.weight[0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, cfg, layer)
+    config = write_config(tmp_path, "d.cfg", data=values, labels=labels, train_rows=375)
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert main(["detect", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert "not all finite" in err and len(err.strip().splitlines()) == 1
+    assert not list(out.rglob("report.json"))
+
+
 def _grid_cfg(tmp_path, sine_csv, **keys):
     return write_config(
         tmp_path, "grid.cfg",

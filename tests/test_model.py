@@ -453,3 +453,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(InvalidValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_checkpoint_rejects_non_finite_params(tmp_path, part):
+    cfg = ModelConfig.for_reconstruction(16, 4, 1)
+    layer = init_params(cfg, 0)
+    getattr(layer, part)[-1] = complex(0.0, np.inf)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, layer)
+    with pytest.raises(InvalidValueError, match="not all finite"):
+        load_checkpoint(path)
