@@ -4,9 +4,9 @@ A window of the series is downsampled by an equidistant factor, reconstructed
 back to full length through the frequency-interpolation model, and every
 timestep is scored by its squared reconstruction error (averaged over
 channels). Timesteps whose score exceeds a threshold are flagged; the
-threshold is the distinct score value that maximizes the point-adjusted F1 on
-a labeled validation series, found by one exact sweep over every distinct
-score.
+threshold maximizes the point-adjusted F1 on a labeled validation series,
+found by one exact sweep over every distinct score plus one value below them
+all (flag every row).
 """
 
 from __future__ import annotations
@@ -136,8 +136,10 @@ def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, Det
     A labeled run is detected at threshold th exactly when its maximum score
     is above th, so point-adjusted TP and FP for every candidate come from
     sorted run maxima and sorted unlabeled scores. The candidates are the
-    distinct scores, so the threshold is always a score value. Ties go to the
-    higher threshold, i.e. fewer alarms. The report is recomputed from the chosen
+    distinct scores plus min(scores) - max(1, |min(scores)|), which flags
+    every row and stays below the minimum after print rounding. Ties go to
+    the higher threshold, i.e. fewer alarms, so flagging every row wins only
+    when it is strictly better. The report is recomputed from the chosen
     threshold, so `prf1(point_adjust(scores > threshold, labels), labels)`
     reproduces it exactly.
     """
@@ -152,7 +154,9 @@ def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, Det
             f"{int(np.sum(~np.isfinite(scores)))} of {scores.size} anomaly scores "
             f"are not finite"
         )
-    candidates = np.unique(scores)
+    distinct = np.unique(scores)
+    lowest = distinct[0]
+    candidates = np.concatenate([[lowest - max(1.0, abs(lowest))], distinct])
 
     starts, ends = _label_runs(labels)
     run_max = np.maximum.reduceat(np.where(labels, scores, -np.inf), starts)

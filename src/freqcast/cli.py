@@ -291,11 +291,12 @@ def cmd_train(cfg: dict, run_dir: Path) -> None:
             dataclasses.replace(spec, seed=seed),
             eval_steps=cfg["horizon"],
         )
-        val_mse, val_mae = trn.evaluate(model_cfg, trained, val_w, cfg["horizon"])
+        restored = trn.restored_epoch(history)
+        val_mse = restored.val_mse
         test_mse, test_mae = trn.evaluate(model_cfg, trained, test_w, cfg["horizon"])
         per_seed.append({
             "seed": seed,
-            "val_mse": val_mse, "val_mae": val_mae,
+            "val_mse": val_mse, "val_mae": restored.val_mae,
             "test_mse": test_mse, "test_mae": test_mae,
             "epochs": len(history),
         })

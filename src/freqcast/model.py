@@ -193,13 +193,12 @@ def _check_layer(cfg: ModelConfig, layer: ComplexLinear):
         )
 
 
-def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
-    """Batched pipeline in channel-major layout.
+def _normalized_bins(x3, cfg: ModelConfig):
+    """Kept input bins of the normalized windows, in channel-major layout.
 
     One (batch*channels, timesteps) row per instance channel keeps the
     normalizer reductions contiguous and the layer contraction a single BLAS
-    matmul. Returns (y_rows, kept, mean, std) with y_rows shaped
-    (batch*channels, output_len).
+    matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in).
     """
     batch, length, channels = x3.shape
     if not np.all(np.isfinite(x3)):
@@ -214,25 +213,82 @@ def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
     rows -= mean  # rows is our private copy; normalize it in place
     rows /= std
     spec = np.fft.rfft(rows, axis=-1)
-    kept = spec[:, 1 : 1 + cfg.n_in]
-    out = kept @ layer.weight + layer.bias
-    padded = np.zeros((batch * channels, cfg.output_len // 2 + 1), dtype=np.complex128)
-    padded[:, 1 : 1 + cfg.n_out] = out
-    yn = np.fft.irfft(padded, n=cfg.output_len, axis=-1)
+    return spec[:, 1 : 1 + cfg.n_in], mean, std
+
+
+def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
+    """Full-window pipeline: (y_rows, kept, std), y_rows (batch*channels, output_len)."""
+    kept, mean, std = _normalized_bins(x3, cfg)
+    # DC forced to 0; irfft zero-pads the bins above n_out itself
+    bins = np.empty((kept.shape[0], 1 + cfg.n_out), dtype=np.complex128)
+    bins[:, 0] = 0.0
+    bins[:, 1:] = kept @ layer.weight + layer.bias
+    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
     yn *= std
     yn += mean
-    return yn, kept, mean, std
+    return yn, kept, std
+
+
+def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
+    """(n_out, last) complex S with Re(Y @ S) = irfft([0, Y], output_len)[-last:].
+
+    Row j-1 is 2/n * exp(2 pi i j t / n) for the last `last` timesteps t; when
+    the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
+    irfft ignores that bin's imaginary part.
+    """
+    n = cfg.output_len
+    t = np.arange(n - last, n)
+    j = np.arange(1, cfg.n_out + 1)[:, None]
+    synth = (2.0 / n) * np.exp(2j * np.pi * ((j * t) % n) / n)
+    if cfg.n_out == n // 2:
+        synth[-1] = np.where(t % 2, -1.0, 1.0) / n
+    return synth
+
+
+def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
+    """The last `last` output rows only, with the layer folded into the synthesis.
+
+    V = W @ S maps kept input bins straight to the tail timesteps, so
+    Re(X V) = Xr Vr - Xi Vi is one real GEMM on the interleaved (re, im)
+    view of the kept bins; Re(b @ S) is the bias's share of every row.
+    """
+    kept, mean, std = _normalized_bins(x3, cfg)
+    synth = _tail_synthesis(cfg, last)
+    fold = layer.weight @ synth
+    real_fold = np.empty((2 * cfg.n_in, last))
+    real_fold[0::2] = fold.real
+    real_fold[1::2] = -fold.imag
+    yn = kept.view(np.float64) @ real_fold
+    yn += (layer.bias @ synth).real
+    yn *= std
+    yn += mean
+    return yn
 
 
 def _rows_to_batch(y_rows, batch: int, channels: int) -> np.ndarray:
     return y_rows.reshape(batch, channels, -1).transpose(0, 2, 1)
 
 
-def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
-    """Map an input window (or batch of windows) to the interpolated output."""
+def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
+                  last: int | None = None) -> np.ndarray:
+    """Map an input window (or batch of windows) to the interpolated output.
+
+    `last=k` returns only the final k output rows. Below output_len they are
+    computed by a direct tail synthesis, which agrees with the full output's
+    last k rows to rounding but not bit for bit.
+    """
     _check_layer(cfg, layer)
     x3, squeeze = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    y_rows, _, _, _ = _forward_rows(x3, cfg, layer)
+    if last is None:
+        last = cfg.output_len
+    if not 1 <= last <= cfg.output_len:
+        raise InvalidArgumentError(
+            f"last={last} outside the {cfg.output_len}-row output window"
+        )
+    if last < cfg.output_len:
+        y_rows = _forward_tail(x3, cfg, layer, last)
+    else:
+        y_rows, _, _ = _forward_rows(x3, cfg, layer)
     y = _rows_to_batch(y_rows, x3.shape[0], x3.shape[2])
     return y[0] if squeeze else y
 
@@ -271,7 +327,7 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
         )
 
     batch, _, channels = x3.shape
-    y_rows, kept, _, std = _forward_rows(x3, cfg, layer)
+    y_rows, kept, std = _forward_rows(x3, cfg, layer)
     t_rows = np.ascontiguousarray(t3.transpose(0, 2, 1)).reshape(batch * channels, rows)
     resid = y_rows[:, cfg.output_len - rows :] - t_rows
     m = resid.size

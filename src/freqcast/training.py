@@ -88,18 +88,29 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's losses; `improved` marks a new best val MSE, whose
+    parameters `train` kept (see `restored_epoch`)."""
+
     epoch: int
     train_mse: float
     val_mse: float
+    val_mae: float
+    improved: bool
+
+
+def restored_epoch(history) -> EpochStats:
+    """The epoch whose parameters `train` returned: the last one that improved."""
+    return next(h for h in reversed(history) if h.improved)
 
 
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
-             eval_steps: int | None = None, batch_size: int = 256):
+             eval_steps: int | None = None, batch_size: int = 64):
     """(MSE, MAE) over the trailing eval_steps rows of prediction and target.
 
     eval_steps=None compares against the full target region, which is the
     forecast horizon for forecast-only windows and the whole output window
-    otherwise (the reconstruction case).
+    otherwise (the reconstruction case). Only the compared rows are
+    predicted, one training-sized batch at a time.
     """
     if len(windows) == 0:
         raise InvalidArgumentError("cannot evaluate on an empty window set")
@@ -114,8 +125,7 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
             raise InvalidArgumentError(
                 f"eval_steps={eval_steps} outside the {t.shape[1]}-row target"
             )
-        pred = model_forward(x, cfg, layer)
-        diff = pred[:, -k:, :] - t[:, -k:, :]
+        diff = model_forward(x, cfg, layer, last=k) - t[:, -k:, :]
         sq += float(np.sum(diff**2))
         ab += float(np.sum(np.abs(diff)))
         count += diff.size
@@ -133,9 +143,10 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
           spec: TrainSpec, eval_steps: int | None = None):
     """Train with seeded shuffling and early stopping on the validation MSE.
 
-    Returns (best layer, history). The parameters of the epoch with the best
-    validation MSE are restored; training stops once `patience` epochs pass
-    without a relative improvement of at least 1e-6.
+    Returns (best layer, history). The parameters of the last epoch that
+    improved the best validation MSE by at least 1e-6 relative are restored
+    (`restored_epoch(history)`); training stops once `patience` epochs pass
+    without such an improvement.
     """
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise InvalidArgumentError("train and validation window sets must be nonempty")
@@ -163,9 +174,12 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             adam_step(theta, _grad_vector(dw, db), adam, spec)
             loss_sum += loss * idx.size
         train_mse = loss_sum / n
-        val_mse, _ = evaluate(cfg, unpack_params(theta, cfg), val_windows, eval_steps)
-        history.append(EpochStats(epoch, train_mse, val_mse))
-        if val_mse < best_val * (1.0 - MIN_RELATIVE_IMPROVEMENT):
+        val_mse, val_mae = evaluate(cfg, unpack_params(theta, cfg), val_windows, eval_steps)
+        if not math.isfinite(val_mse):
+            raise TrainingDivergedError(f"non-finite validation MSE at epoch {epoch}: {val_mse}")
+        improved = val_mse < best_val * (1.0 - MIN_RELATIVE_IMPROVEMENT)
+        history.append(EpochStats(epoch, train_mse, val_mse, val_mae, improved))
+        if improved:
             best_val = val_mse
             best_theta = theta.copy()
             stale = 0
@@ -214,7 +228,7 @@ def run_combination(frame, profile, horizon: int, look_back: int, harmonic: int,
         layer = init_params(cfg, seed)
         best, history = train(cfg, layer, train_w, val_w,
                               replace(spec, seed=seed), eval_steps=horizon)
-        vals.append(min(h.val_mse for h in history))
+        vals.append(restored_epoch(history).val_mse)
         tests.append(evaluate(cfg, best, test_w, eval_steps=horizon)[0])
         epochs.append(len(history))
     return GridRow(

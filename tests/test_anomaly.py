@@ -255,19 +255,29 @@ def test_select_threshold_prefers_higher_on_ties():
     assert threshold == max(winners)
 
 
-def best_over_distinct_scores(scores, labels):
-    """Exhaustive oracle: (best point-adjusted F1, highest score reaching it)."""
+def best_over_every_cut(scores, labels):
+    """Exhaustive oracle: (best point-adjusted F1, highest threshold reaching it)
+    over every distinct score plus -inf, which flags every row."""
     f1s = {th: prf1(point_adjust(scores > th, labels), labels)[2]
-           for th in np.unique(scores)}
+           for th in [-np.inf, *np.unique(scores)]}
     best = max(f1s.values())
     return best, max(th for th, f1 in f1s.items() if f1 == best)
 
 
+def assert_flags_every_row(threshold, scores):
+    # finite, and below every score even after 1e-9 relative print rounding
+    assert np.isfinite(threshold)
+    assert threshold + 1e-9 * abs(threshold) < scores.min()
+
+
 def assert_exact_sweep(scores, labels):
     threshold, report = select_threshold(scores, labels)
-    best_f1, best_threshold = best_over_distinct_scores(scores, labels)
+    best_f1, best_threshold = best_over_every_cut(scores, labels)
     assert report.f1 == best_f1
-    assert threshold == best_threshold
+    if best_threshold == -np.inf:
+        assert_flags_every_row(threshold, scores)
+    else:
+        assert threshold == best_threshold
     pred = point_adjust(scores > threshold, labels)
     assert prf1(pred, labels) == (report.precision, report.recall,
                                   report.f1, report.accuracy)
@@ -280,6 +290,26 @@ def test_select_threshold_tries_every_score():
     threshold, report = select_threshold(scores, labels)
     assert threshold == 0.6
     assert report.f1 == 6 / 7
+
+
+@pytest.mark.parametrize("scores, labels, f1", [
+    ([0.5, 0.5], [1, 0], 2 / 3),  # no score-valued threshold flags the positive
+    ([0.5], [1], 1.0),
+    ([-3e20, 2.0, -3e20], [1, 0, 1], 0.8),
+])
+def test_select_threshold_can_flag_every_row(scores, labels, f1):
+    scores = np.array(scores)
+    threshold, report = select_threshold(scores, np.array(labels, dtype=bool))
+    assert report.f1 == f1
+    assert_flags_every_row(threshold, scores)
+
+
+def test_select_threshold_flags_every_row_only_when_strictly_better():
+    # the lowest score already detects the one run, as flagging every row would
+    scores = np.array([0.5, 0.9, 0.7])
+    labels = np.array([1, 1, 0], dtype=bool)
+    threshold, report = select_threshold(scores, labels)
+    assert (threshold, report.f1) == (0.7, 1.0)
 
 
 @st.composite

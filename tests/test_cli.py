@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from freqcast.cli import main
-from freqcast.data import load_csv, write_series_csv
+from freqcast.data import (
+    DatasetProfile,
+    SplitRule,
+    chrono_split,
+    load_csv,
+    split_windows,
+    standardize,
+    write_series_csv,
+)
 from freqcast.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from freqcast.training import read_grid_csv
+from freqcast.training import evaluate, read_grid_csv
 
 
 @pytest.fixture()
@@ -71,6 +79,26 @@ def test_train_deterministic_across_runs(tmp_path, sine_csv):
     first, second = run_dirs(out)
     assert (first / "metrics.json").read_text() == (second / "metrics.json").read_text()
     assert (first / "model.ckpt").read_bytes() == (second / "model.ckpt").read_bytes()
+
+
+def test_train_val_metrics_are_the_restored_layers(tmp_path, sine_csv):
+    cfg = write_config(
+        tmp_path, "train.cfg",
+        data=sine_csv, period=24, timestamp_column="false",
+        input_len=32, horizon=8, harmonic=1, max_epochs=6, seeds="0",
+    )
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    (entry,) = json.loads((run_dir / "metrics.json").read_text())["per_seed"]
+
+    model_cfg, layer = load_checkpoint(run_dir / "model.ckpt")
+    frame = load_csv(sine_csv, False)
+    profile = DatasetProfile("custom", 24, SplitRule.RATIO_70_10_20)
+    frame_std, _ = standardize(frame, chrono_split(frame, profile)[0])
+    _, val_w, test_w = split_windows(frame_std, profile, 32, 8, model_cfg.supervision)
+    assert (entry["val_mse"], entry["val_mae"]) == evaluate(model_cfg, layer, val_w, 8)
+    assert (entry["test_mse"], entry["test_mae"]) == evaluate(model_cfg, layer, test_w, 8)
 
 
 def test_train_rejects_unknown_key(tmp_path, sine_csv, capsys):

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqcast.errors import InvalidValueError, ShapeError
+from freqcast.errors import InvalidArgumentError, InvalidValueError, ShapeError
 from freqcast.model import (
     ComplexLinear,
     ModelConfig,
@@ -196,6 +198,57 @@ def test_forward_affine_in_normalized_input():
     bias_part = core(np.zeros((16, 1)))
     rhs = a * core(x) + b * core(z) - (a + b - 1) * bias_part
     assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def test_forward_matches_explicitly_padded_irfft_bit_for_bit():
+    # irfft zero-pads the bins above n_out itself; an explicit buffer is the same
+    for cfg in (ModelConfig.for_forecast(720, 96, 24, 6, 2),   # 196 -> 222 of 408
+                ModelConfig(100, 200, 1, 0, 1),                 # Nyquist bin used
+                ModelConfig.for_forecast(96, 24, 24, 0, 1)):
+        layer = init_params(cfg, 3)
+        x = np.random.default_rng(4).normal(size=(3, cfg.input_len, cfg.channels))
+        # the model's channel-major rows, normalized with the same operations
+        rows = x.transpose(0, 2, 1).reshape(-1, cfg.input_len)
+        mean = rows.mean(axis=-1, keepdims=True)
+        std = np.maximum(rows.std(axis=-1, keepdims=True), 1e-5)
+        kept = np.fft.rfft((rows - mean) / std, axis=-1)[:, 1 : 1 + cfg.n_in]
+        padded = np.zeros((rows.shape[0], cfg.output_len // 2 + 1), dtype=complex)
+        padded[:, 1 : 1 + cfg.n_out] = kept @ layer.weight + layer.bias
+        y = np.fft.irfft(padded, n=cfg.output_len, axis=-1) * std + mean
+        y = y.reshape(3, cfg.channels, cfg.output_len).transpose(0, 2, 1)
+        assert np.array_equal(model_forward(x, cfg, layer), y)
+
+
+@st.composite
+def tail_cases(draw):
+    input_len = 2 * draw(st.integers(1, 40))
+    output_len = input_len + 2 * draw(st.integers(0, 40))
+    harmonic = draw(st.integers(0, 3))  # 0 keeps every bin, so reaches Nyquist
+    cfg = ModelConfig(input_len, output_len, draw(st.integers(1, 30)), harmonic,
+                      draw(st.integers(1, 3)))
+    return cfg, draw(st.integers(1, output_len)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_cases())
+def test_forward_last_rows_match_full_output(case):
+    cfg, last, seed = case
+    rng = np.random.default_rng(seed)
+    layer = init_params(cfg, seed)
+    layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
+    x = rng.normal(size=(4, cfg.input_len, cfg.channels)) * 3.0 + 2.0
+    full = model_forward(x, cfg, layer)
+    tail = model_forward(x, cfg, layer, last=last)
+    assert tail.shape == (4, last, cfg.channels)
+    assert np.max(np.abs(tail - full[:, -last:])) <= 1e-12 * np.max(np.abs(full))
+    assert model_forward(x[0], cfg, layer, last=last).shape == (last, cfg.channels)
+
+
+@pytest.mark.parametrize("last", [0, -1, 25])
+def test_forward_rejects_last_outside_output(last):
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
+    with pytest.raises(InvalidArgumentError, match="outside"):
+        model_forward(np.zeros((16, 1)), cfg, init_params(cfg, 0), last=last)
 
 
 # --- gradients -------------------------------------------------------------------

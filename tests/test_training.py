@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from freqcast import training
 from freqcast.data import ArrayWindows, DatasetProfile, SeriesFrame, SplitRule
 from freqcast.errors import InvalidArgumentError, ShapeError, TrainingDivergedError
 from freqcast.model import (
@@ -25,6 +26,7 @@ from freqcast.training import (
     evaluate,
     grid_search,
     read_grid_csv,
+    restored_epoch,
     select_best,
     train,
     append_grid_csv,
@@ -142,6 +144,41 @@ def test_train_history_contract():
     # returned parameters reproduce the best observed validation loss
     got, _ = evaluate(cfg, best, windows)
     assert abs(got - best_val) < 1e-12
+
+
+def test_train_restored_epoch_reproduces_val_exactly():
+    rng = np.random.default_rng(0)
+    rows = np.cumsum(rng.normal(size=(60, 2)) * 0.3, axis=0)
+    windows = _window_pair(rows, 16, 8, 30)
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 2)
+    spec = TrainSpec(max_epochs=20, patience=3, seed=2)
+    best, history = train(cfg, init_params(cfg, 2), windows, windows, spec, eval_steps=8)
+    restored = restored_epoch(history)
+    assert restored.improved
+    assert not any(h.improved for h in history[restored.epoch :])
+    assert evaluate(cfg, best, windows, eval_steps=8) == (restored.val_mse,
+                                                          restored.val_mae)
+
+
+def test_train_rejects_non_finite_val(monkeypatch):
+    monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: (math.nan, math.nan))
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
+    windows = _window_pair(np.arange(60.0)[:, None], 16, 8, 30)
+    with pytest.raises(TrainingDivergedError, match="validation"):
+        train(cfg, init_params(cfg, 0), windows, windows, TrainSpec())
+
+
+@pytest.mark.parametrize("eval_steps", [8, 3, None])
+def test_evaluate_independent_of_batch_size(eval_steps):
+    rng = np.random.default_rng(12)
+    rows = np.cumsum(rng.normal(size=(400, 3)), axis=0)
+    windows = _window_pair(rows, 48, 8, 300)
+    cfg = ModelConfig.for_forecast(48, 8, 12, 2, 3)
+    layer = init_params(cfg, 4)
+    small = evaluate(cfg, layer, windows, eval_steps, batch_size=64)
+    large = evaluate(cfg, layer, windows, eval_steps, batch_size=256)
+    for a, b in zip(small, large):
+        assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def test_train_loss_nonincreasing_at_tiny_lr():
@@ -264,6 +301,19 @@ def test_grid_skip_resumes():
                           skip={(16, 1, "backcast+forecast")})
     assert [r.look_back for r in partial.rows] == [32]
     assert partial.rows[0] == full.rows[1]
+
+
+def test_grid_row_reports_restored_epoch_val(monkeypatch):
+    # epoch 3 beats epoch 2 by less than the 1e-6 relative minimum, so train
+    # keeps epoch 2's parameters, and the row's val MSE must be epoch 2's too
+    results = iter([1.0, 0.5, 0.5 * (1 - 1e-7), 0.7])  # three val epochs, then test
+    monkeypatch.setattr(training, "evaluate",
+                        lambda *args, **kwargs: (next(results), 0.0))
+    spec = TrainSpec(max_epochs=3, patience=3, seeds_for_reporting=(0,))
+    result = grid_search(_tiny_frame(), TINY_PROFILE, 8, [16], [1],
+                         [Supervision.BACKCAST_AND_FORECAST], spec)
+    (row,) = result.rows
+    assert (row.val_mse, row.test_mse, row.epochs_ran) == (0.5, 0.7, 3.0)
 
 
 def test_select_best_tie_breaks():
