@@ -38,18 +38,6 @@ class DetectionReport:
     adjusted: bool
 
 
-def downsample(window: np.ndarray, factor: int) -> np.ndarray:
-    """Equidistant sampling at offset 0: row i of the output is row i*factor."""
-    window = np.asarray(window)
-    if factor < 1:
-        raise InvalidArgumentError(f"factor must be >= 1, got {factor}")
-    if window.shape[0] % factor != 0:
-        raise InvalidArgumentError(
-            f"factor {factor} does not divide the {window.shape[0]}-row window"
-        )
-    return window[::factor]
-
-
 def reconstruction_windows(rows: np.ndarray, window: int, factor: int) -> ArrayWindows:
     """Stride-1 training pairs: downsampled window in, original window out.
 

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 runtime/numeric error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -260,60 +259,42 @@ def _train_spec(cfg: dict, seeds) -> trn.TrainSpec:
     )
 
 
-def _summary(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 # --- commands ----------------------------------------------------------------
 
-def cmd_train(cfg: dict, run_dir: Path) -> None:
+def _standardized_frame(cfg: dict, model_cfg: mdl.ModelConfig | None):
+    """(profile, frame) with the frame standardized by its train split.
+
+    A checkpoint's `model_cfg` (None when training) is checked against the
+    frame before the split, so a mismatch is a config error even on a series
+    too short to split.
+    """
     profile = dataset_profile(cfg)
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
+    if model_cfg is not None:
+        _check_channels(model_cfg, frame)
     train_range, _, _ = dat.chrono_split(frame, profile)
-    frame_std, _ = dat.standardize(frame, train_range)
+    return profile, dat.standardize(frame, train_range)[0]
 
-    model_cfg = mdl.ModelConfig.for_forecast(
-        cfg["input_len"], cfg["horizon"], profile.period, cfg["harmonic"],
-        frame.channels, cfg["supervision"],
-    )
-    train_w, val_w, test_w = dat.split_windows(
-        frame_std, profile, cfg["input_len"], cfg["horizon"], cfg["supervision"]
-    )
-    spec = _train_spec(cfg, cfg["seeds"])
 
-    per_seed = []
-    best = None
-    for seed in cfg["seeds"]:
-        layer = mdl.init_params(model_cfg, seed)
-        trained, history = trn.train(
-            model_cfg, layer, train_w, val_w,
-            dataclasses.replace(spec, seed=seed),
-            eval_steps=cfg["horizon"],
-        )
-        restored = trn.restored_epoch(history)
-        val_mse = restored.val_mse
-        test_mse, test_mae = trn.evaluate(model_cfg, trained, test_w, cfg["horizon"])
-        per_seed.append({
-            "seed": seed,
-            "val_mse": val_mse, "val_mae": restored.val_mae,
-            "test_mse": test_mse, "test_mae": test_mae,
-            "epochs": len(history),
-        })
-        if best is None or val_mse < best[0]:
-            best = (val_mse, trained, history)
+def cmd_train(cfg: dict, run_dir: Path) -> None:
+    profile, frame = _standardized_frame(cfg, None)
+    model_cfg, runs = trn.train_seeds(
+        frame, profile, cfg["horizon"], cfg["input_len"], cfg["harmonic"],
+        cfg["supervision"], _train_spec(cfg, cfg["seeds"]),
+    )
+    per_seed = [record for record, _, _ in runs]
+    _, best, history = min(runs, key=lambda run: run[0]["val_mse"])  # first on ties
 
     _write_atomic(run_dir / "model.ckpt",
-                  lambda p: mdl.save_checkpoint(p, model_cfg, best[1]))
+                  lambda p: mdl.save_checkpoint(p, model_cfg, best))
     _write_atomic(run_dir / "history.csv",
-                  lambda p: trn.write_history_csv(p, best[2]))
+                  lambda p: trn.write_history_csv(p, history))
+    keys = ("val_mse", "val_mae", "test_mse", "test_mae")
     metrics = {
         "config": _config_echo(cfg, model_cfg),
         "per_seed": per_seed,
-        "mean": {k: _summary([p[k] for p in per_seed])[0]
-                 for k in ("val_mse", "val_mae", "test_mse", "test_mae")},
-        "std": {k: _summary([p[k] for p in per_seed])[1]
-                for k in ("val_mse", "val_mae", "test_mse", "test_mae")},
+        "mean": {k: float(np.mean([p[k] for p in per_seed])) for k in keys},
+        "std": {k: float(np.std([p[k] for p in per_seed])) for k in keys},
     }
     write_json(run_dir / "metrics.json", metrics)
     print(f"run dir: {run_dir}")
@@ -356,10 +337,7 @@ def _pin_grid_config(cfg: dict, run_dir: Path, resume: bool) -> None:
 
 def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
     _pin_grid_config(cfg, run_dir, resume)
-    profile = dataset_profile(cfg)
-    frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
-    train_range, _, _ = dat.chrono_split(frame, profile)
-    frame_std, _ = dat.standardize(frame, train_range)
+    profile, frame = _standardized_frame(cfg, None)
     spec = _train_spec(cfg, cfg["seeds"])
 
     grid_path = run_dir / "grid.csv"
@@ -376,7 +354,7 @@ def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
               f"val {row.val_mse:.6f} test {row.test_mse:.6f}")
 
     result = trn.grid_search(
-        frame_std, profile, cfg["horizon"], cfg["look_backs"], cfg["harmonics"],
+        frame, profile, cfg["horizon"], cfg["look_backs"], cfg["harmonics"],
         cfg["supervisions"], spec, skip=done, on_row=on_row,
     )
     all_rows = done_rows + result.rows
@@ -404,13 +382,9 @@ def _check_channels(model_cfg: mdl.ModelConfig, frame: dat.SeriesFrame) -> None:
 
 def cmd_eval(cfg: dict, run_dir: Path) -> None:
     model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
-    profile = dataset_profile(cfg)
-    frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
-    _check_channels(model_cfg, frame)
-    train_range, _, _ = dat.chrono_split(frame, profile)
-    frame_std, _ = dat.standardize(frame, train_range)
+    profile, frame = _standardized_frame(cfg, model_cfg)
     _, val_w, test_w = dat.split_windows(
-        frame_std, profile, model_cfg.input_len, model_cfg.horizon, model_cfg.supervision
+        frame, profile, model_cfg.input_len, model_cfg.horizon, model_cfg.supervision
     )
     val_mse, val_mae = trn.evaluate(model_cfg, layer, val_w, model_cfg.horizon)
     test_mse, test_mae = trn.evaluate(model_cfg, layer, test_w, model_cfg.horizon)

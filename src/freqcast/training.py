@@ -132,13 +132,6 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
     return sq / count, ab / count
 
 
-def _grad_vector(d_weight: np.ndarray, d_bias: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [np.ascontiguousarray(d_weight).ravel().view(np.float64),
-         np.ascontiguousarray(d_bias).view(np.float64)]
-    )
-
-
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
           spec: TrainSpec, eval_steps: int | None = None):
     """Train with seeded shuffling and early stopping on the validation MSE.
@@ -152,6 +145,7 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         raise InvalidArgumentError("train and validation window sets must be nonempty")
     rng = np.random.default_rng(spec.seed)
     theta = pack_params(layer)
+    view = unpack_params(theta, cfg)  # Adam updates theta in place, so the view tracks it
     adam = AdamState.zeros(theta.size)
     n = len(train_windows)
 
@@ -165,16 +159,15 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
             x, t = train_windows.batch(idx)
-            view = unpack_params(theta, cfg)
             loss, dw, db = model_backward(x, t, cfg, view)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}"
                 )
-            adam_step(theta, _grad_vector(dw, db), adam, spec)
+            adam_step(theta, pack_params(ComplexLinear(dw, db)), adam, spec)
             loss_sum += loss * idx.size
         train_mse = loss_sum / n
-        val_mse, val_mae = evaluate(cfg, unpack_params(theta, cfg), val_windows, eval_steps)
+        val_mse, val_mae = evaluate(cfg, view, val_windows, eval_steps)
         if not math.isfinite(val_mse):
             raise TrainingDivergedError(f"non-finite validation MSE at epoch {epoch}: {val_mse}")
         improved = val_mse < best_val * (1.0 - MIN_RELATIVE_IMPROVEMENT)
@@ -214,32 +207,47 @@ def select_best(rows) -> GridRow:
     return min(rows, key=lambda r: (r.val_mse, r.complex_entries, r.look_back))
 
 
-def run_combination(frame, profile, horizon: int, look_back: int, harmonic: int,
-                    supervision: Supervision, spec: TrainSpec):
-    """Train one (look-back, harmonic, supervision) cell over the reporting seeds."""
+def train_seeds(frame, profile, horizon: int, look_back: int, harmonic: int,
+                supervision: Supervision, spec: TrainSpec):
+    """Train one forecast setting once per reporting seed.
+
+    Returns (cfg, runs) with one (record, best layer, history) per seed of
+    `spec.seeds_for_reporting`. The record holds the seed, the val MSE/MAE of
+    the restored epoch, the test MSE/MAE of the kept layer and the number of
+    epochs run.
+    """
     from .data import split_windows  # local import to avoid a module cycle
 
     cfg = ModelConfig.for_forecast(
         look_back, horizon, profile.period, harmonic, frame.channels, supervision
     )
     train_w, val_w, test_w = split_windows(frame, profile, look_back, horizon, supervision)
-    vals, tests, epochs = [], [], []
+    runs = []
     for seed in spec.seeds_for_reporting:
-        layer = init_params(cfg, seed)
-        best, history = train(cfg, layer, train_w, val_w,
+        best, history = train(cfg, init_params(cfg, seed), train_w, val_w,
                               replace(spec, seed=seed), eval_steps=horizon)
-        vals.append(restored_epoch(history).val_mse)
-        tests.append(evaluate(cfg, best, test_w, eval_steps=horizon)[0])
-        epochs.append(len(history))
-    return GridRow(
-        look_back,
-        harmonic,
-        supervision.value,
-        float(np.mean(vals)),
-        float(np.mean(tests)),
-        param_count(cfg)[0],
-        float(np.mean(epochs)),
-    )
+        restored = restored_epoch(history)
+        test_mse, test_mae = evaluate(cfg, best, test_w, eval_steps=horizon)
+        record = {
+            "seed": seed,
+            "val_mse": restored.val_mse, "val_mae": restored.val_mae,
+            "test_mse": test_mse, "test_mae": test_mae,
+            "epochs": len(history),
+        }
+        runs.append((record, best, history))
+    return cfg, runs
+
+
+def run_combination(frame, profile, horizon: int, look_back: int, harmonic: int,
+                    supervision: Supervision, spec: TrainSpec):
+    """Train one (look-back, harmonic, supervision) cell; report the seed means."""
+    cfg, runs = train_seeds(frame, profile, horizon, look_back, harmonic, supervision, spec)
+
+    def mean(key):
+        return float(np.mean([record[key] for record, _, _ in runs]))
+
+    return GridRow(look_back, harmonic, supervision.value, mean("val_mse"),
+                   mean("test_mse"), param_count(cfg)[0], mean("epochs"))
 
 
 def grid_search(frame, profile, horizon: int, look_backs, harmonics,

@@ -1,6 +1,6 @@
-"""Detection-path checks: downsampling, scoring coverage, point adjustment
-against a brute-force segment scan, and the threshold sweep against an
-exhaustive oracle."""
+"""Detection-path checks: reconstruction windows, scoring coverage, point
+adjustment against a brute-force segment scan, and the threshold sweep against
+an exhaustive oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcast.anomaly import (
-    downsample,
     point_adjust,
     prf1,
     reconstruction_windows,
@@ -22,19 +21,6 @@ from freqcast.errors import (
     ShapeError,
 )
 from freqcast.model import ComplexLinear, ModelConfig, init_params
-
-
-def test_downsample_basic():
-    rows = np.arange(8.0)[:, None]
-    assert np.array_equal(downsample(rows, 2)[:, 0], [0, 2, 4, 6])
-    assert np.array_equal(downsample(rows, 1), rows)
-    with pytest.raises(InvalidArgumentError):
-        downsample(np.zeros((10, 1)), 3)
-
-
-def test_downsample_composes():
-    rows = np.arange(16.0)[:, None]
-    assert np.array_equal(downsample(downsample(rows, 2), 2), downsample(rows, 4))
 
 
 def test_reconstruction_windows():

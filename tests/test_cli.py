@@ -2,11 +2,12 @@
 resume, schema validation, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freqcast.cli import main
+from freqcast.cli import main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
     SplitRule,
@@ -16,8 +17,16 @@ from freqcast.data import (
     standardize,
     write_series_csv,
 )
-from freqcast.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from freqcast.training import evaluate, read_grid_csv
+from freqcast.model import (
+    ModelConfig,
+    Supervision,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from freqcast.training import TrainSpec, evaluate, read_grid_csv, run_combination
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture()
@@ -194,6 +203,37 @@ def test_eval_checkpoint(tmp_path, sine_csv):
     metrics = json.loads((eval_dir / "metrics.json").read_text())
     train_metrics = json.loads((train_dir / "metrics.json").read_text())
     assert np.isclose(metrics["test_mse"], train_metrics["per_seed"][0]["test_mse"])
+
+
+def test_grid_row_is_the_mean_of_train_seeds(tmp_path, sine_csv):
+    keys = dict(data=sine_csv, period=24, timestamp_column="false", horizon=8,
+                max_epochs=4, patience=2, learning_rate=0.01)
+    cfg = write_config(tmp_path, "train.cfg", input_len=16, harmonic=1,
+                       supervision="forecast", seeds="0,1,2", **keys)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+
+    frame = load_csv(sine_csv, False)
+    profile = DatasetProfile("custom", 24, SplitRule.RATIO_70_10_20)
+    frame_std, _ = standardize(frame, chrono_split(frame, profile)[0])
+    spec = TrainSpec(learning_rate=0.01, max_epochs=4, patience=2,
+                     seeds_for_reporting=(0, 1, 2))
+    row = run_combination(frame_std, profile, 8, 16, 1, Supervision.FORECAST_ONLY, spec)
+    assert row.val_mse == metrics["mean"]["val_mse"]
+    assert row.test_mse == metrics["mean"]["test_mse"]
+    assert row.epochs_ran == np.mean([p["epochs"] for p in metrics["per_seed"]])
+
+
+SHIPPED_CONFIG_COMMAND = [("_grid.cfg", "grid"), ("_h96.cfg", "train"),
+                          ("synth_detect.cfg", "detect")]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_validates(path):
+    (command,) = [c for suffix, c in SHIPPED_CONFIG_COMMAND if path.name.endswith(suffix)]
+    validate_config(command, read_config_file(path))
 
 
 def test_synth_outputs(tmp_path):
@@ -406,10 +446,43 @@ def _truncated_checkpoint(tmp_path, sine_csv):
             "--checkpoint", str(ckpt)]
 
 
+def _eval_argv(tmp_path, data, channels, **keys):
+    model_cfg = ModelConfig.for_forecast(32, 8, 24, 1, channels,
+                                         Supervision.BACKCAST_AND_FORECAST)
+    ckpt = tmp_path / f"forecast-{channels}.ckpt"
+    save_checkpoint(ckpt, model_cfg, init_params(model_cfg, 0))
+    cfg = write_config(tmp_path, "e.cfg", data=data, timestamp_column="false", **keys)
+    return ["eval", "--config", str(cfg), "--out", str(tmp_path / "r"),
+            "--checkpoint", str(ckpt)]
+
+
+def _short_csv(tmp_path, sine_csv):
+    """40 rows: far fewer than the ETTh2 split needs."""
+    path = tmp_path / "short.csv"
+    write_series_csv(path, load_csv(sine_csv, False).values[:40], ["a", "b"])
+    return path
+
+
+def _eval_other_channels(tmp_path, sine_csv):
+    return _eval_argv(tmp_path, sine_csv, 3, period=24)
+
+
+def _eval_other_channels_short_series(tmp_path, sine_csv):
+    # the channel check comes before the split this series is too short for
+    return _eval_argv(tmp_path, _short_csv(tmp_path, sine_csv), 3, profile="etth2")
+
+
+def _eval_short_series(tmp_path, sine_csv):
+    return _eval_argv(tmp_path, _short_csv(tmp_path, sine_csv), 2, profile="etth2")
+
+
 @pytest.mark.parametrize("make_argv, code, message", [
     (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
     (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
     (_truncated_checkpoint, 3, "truncated"),
+    (_eval_other_channels, 2, "trained on 3 channels, dataset has 2"),
+    (_eval_other_channels_short_series, 2, "trained on 3 channels, dataset has 2"),
+    (_eval_short_series, 3, "split needs 14400 rows, series has 40"),
 ])
 def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
     argv = make_argv(tmp_path, sine_csv)
