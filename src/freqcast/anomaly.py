@@ -22,10 +22,9 @@ from .model import ComplexLinear, ModelConfig, model_forward
 
 @dataclass
 class AnomalyScores:
-    """Per-timestep reconstruction error plus a scored-at-least-once mask."""
+    """Per-timestep reconstruction error."""
 
     scores: np.ndarray
-    coverage: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,12 @@ def reconstruction_windows(rows: np.ndarray, window: int, factor: int) -> ArrayW
 
 
 def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
-                 window: int = 200, factor: int = 4) -> AnomalyScores:
+                 window: int, factor: int) -> AnomalyScores:
     """Score every timestep of a series by squared reconstruction error.
 
     Windows are taken at stride = window, plus one final window aligned to
-    the series end so the tail is covered; rows scored by both are averaged.
+    the series end so the tail is covered; every row is scored, and rows
+    scored by two windows get their mean.
     """
     series = np.asarray(series, dtype=np.float64)
     view = sliding_windows(series, window)
@@ -74,9 +74,7 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     for s, r, f in zip(starts, recon, full):
         total[s : s + window] += np.mean((r - f) ** 2, axis=1)
         hits[s : s + window] += 1.0
-    coverage = hits > 0
-    scores = np.where(coverage, total / np.maximum(hits, 1.0), 0.0)
-    return AnomalyScores(scores, coverage)
+    return AnomalyScores(total / hits)
 
 
 def _label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

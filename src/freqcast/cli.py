@@ -89,12 +89,14 @@ def _supervision(text):
         raise ConfigError(f"supervision must be one of: {choices}; got {text!r}") from None
 
 
+_SPEC_DEFAULTS = trn.TrainSpec()
 _TRAIN_COMMON = {
-    "learning_rate": (_float, 5e-4),
-    "batch_size": (_int, 64),
-    "max_epochs": (_int, 50),
-    "patience": (_int, 5),
+    "learning_rate": (_float, _SPEC_DEFAULTS.learning_rate),
+    "batch_size": (_int, _SPEC_DEFAULTS.batch_size),
+    "max_epochs": (_int, _SPEC_DEFAULTS.max_epochs),
+    "patience": (_int, _SPEC_DEFAULTS.patience),
 }
+_SEEDS = (_list_of(_int), list(_SPEC_DEFAULTS.seeds_for_reporting))
 
 _DATASET_COMMON = {
     "data": (_str, None),
@@ -111,7 +113,7 @@ SCHEMAS = {
         "horizon": (_int, None),
         "harmonic": (_harmonic, 0),
         "supervision": (_supervision, mdl.Supervision.BACKCAST_AND_FORECAST),
-        "seeds": (_list_of(_int), [0, 1, 2, 3, 4]),
+        "seeds": _SEEDS,
     },
     "grid": {
         **_DATASET_COMMON,
@@ -120,7 +122,7 @@ SCHEMAS = {
         "look_backs": (_list_of(_int), [90, 180, 360, 720]),
         "harmonics": (_list_of(_harmonic), None),
         "supervisions": (_list_of(_supervision), list(mdl.Supervision)),
-        "seeds": (_list_of(_int), [0, 1, 2, 3, 4]),
+        "seeds": _SEEDS,
     },
     "eval": {
         **_DATASET_COMMON,
@@ -138,7 +140,7 @@ SCHEMAS = {
         "checkpoint": (_str, None),
         "train_first": (_bool, False),
         "dump_scores": (_bool, False),
-        "seed": (_int, 0),
+        "seed": (_int, _SPEC_DEFAULTS.seed),
         **_TRAIN_COMMON,
     },
     "synth": {
@@ -397,9 +399,17 @@ def cmd_eval(cfg: dict, run_dir: Path) -> None:
     print(f"test MSE: {test_mse:.6f}  test MAE: {test_mae:.6f}")
 
 
+def _exactly_one(cfg: dict, first: str, second: str) -> None:
+    """Refuse an either/or pair of detect keys unless exactly one is set."""
+    given = [key for key in (first, second) if cfg[key]]
+    if len(given) != 1:
+        raise ConfigError(f"detect needs exactly one of '{first}' and '{second}', "
+                          f"got {'both' if given else 'neither'}")
+
+
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
-    if not cfg["checkpoint"] and not cfg["train_first"]:
-        raise ConfigError("detect needs either 'checkpoint' or 'train_first = true'")
+    _exactly_one(cfg, "checkpoint", "train_first")
+    _exactly_one(cfg, "labels", "label_column")
     model_cfg = layer = None
     shape = DETECT_WINDOW_FACTOR
     if cfg["checkpoint"]:
@@ -420,10 +430,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     if cfg["label_column"]:
         frame, labels = dat.split_label_column(frame, cfg["label_column"])
-    elif cfg["labels"]:
-        labels = dat.load_labels(resolve_data_path(cfg["labels"]), frame.length)
     else:
-        raise ConfigError("detect needs 'labels' (file) or 'label_column'")
+        labels = dat.load_labels(resolve_data_path(cfg["labels"]), frame.length)
 
     split = cfg["train_rows"]
     if not 0 < split < frame.length:

@@ -231,10 +231,6 @@ def standardize(frame: SeriesFrame, train_range: tuple[int, int]):
     return out, ChannelStats(mean, std)
 
 
-def destandardize(values: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    return values * stats.std + stats.mean
-
-
 def sliding_windows(rows: np.ndarray, length: int) -> np.ndarray:
     """Every stride-1 `length`-row window of a T x C block as a read-only
     (T - length + 1, length, C) view; no value is copied."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,6 @@ class ModelConfig:
     harmonic: int
     channels: int
     supervision: Supervision = Supervision.BACKCAST_AND_FORECAST
-    cutoff: int = field(init=False)
     n_in: int = field(init=False)
     n_out: int = field(init=False)
 
@@ -84,7 +82,6 @@ class ModelConfig:
             k = self.input_len // 2
         else:
             k = cutoff_bins(self.input_len, self.period, self.harmonic)
-        object.__setattr__(self, "cutoff", k)
         object.__setattr__(self, "n_in", k)
         n_out = min(k * self.output_len // self.input_len, self.output_len // 2)
         object.__setattr__(self, "n_out", n_out)
@@ -106,11 +103,6 @@ class ModelConfig:
     def horizon(self) -> int:
         return self.output_len - self.input_len
 
-    @property
-    def eta(self) -> Fraction:
-        """Interpolation rate output_len/input_len as an exact rational."""
-        return Fraction(self.output_len, self.input_len)
-
 
 @dataclass
 class ComplexLinear:
@@ -129,14 +121,13 @@ class RinState:
 
     mean: np.ndarray
     std: np.ndarray
-    eps: float = RIN_EPS
 
 
 def rin_normalize(x) -> tuple[np.ndarray, RinState]:
     """Normalize each channel of each instance to zero mean, unit (population) std.
 
     Accepts (L, C) or (B, L, C); statistics are taken over the L axis, and a
-    degenerate std is replaced by eps so constant channels map to zeros.
+    degenerate std is replaced by RIN_EPS so constant channels map to zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     axis = x.ndim - 2
@@ -159,16 +150,6 @@ def rin_denormalize(y, state: RinState) -> np.ndarray:
             f"channel mismatch: output has {y.shape[-1]}, state has {state.mean.shape[-1]}"
         )
     return y * state.std + state.mean
-
-
-def complex_linear_forward(x, layer: ComplexLinear) -> np.ndarray:
-    """Y = X @ W + b for a (batch, n_in) complex matrix."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[1] != layer.weight.shape[0]:
-        raise ShapeError(
-            f"expected (batch, {layer.weight.shape[0]}) input, got shape {x.shape}"
-        )
-    return x @ layer.weight + layer.bias
 
 
 def _as_batch(x, length: int, channels: int, what: str):

@@ -1,8 +1,9 @@
 """Real-input DFT helpers with pinned conventions.
 
-These are the fixed linear maps that surround the trainable layer: the
-forward/inverse real FFT, low-pass truncation, zero-padding with DC
-restoration, and phase-shift utilities.
+These are the fixed conventions around the trainable layer: the
+forward/inverse real FFT, the low-pass cutoff rule, and phase-shift
+utilities. The model itself slices the kept bins and lets the inverse FFT
+zero-pad the rest.
 
 Conventions (pinned, validated by the roundtrip and Parseval tests):
 
@@ -98,32 +99,6 @@ def cutoff_bins(window_len: int, period: int, harmonic: int) -> int:
         raise InvalidArgumentError(f"harmonic must be >= 1, got {harmonic}")
     k = harmonic * (base_frequency(window_len, period) + 1) + 10
     return min(k, window_len // 2)
-
-
-def truncate_spectrum(s: Spectrum, k_cut: int) -> tuple[complex, np.ndarray]:
-    """Split off the DC bin and keep the first k_cut non-DC bins."""
-    if k_cut > s.bins.shape[0] - 1:
-        raise ShapeError(
-            f"k_cut={k_cut} exceeds the {s.bins.shape[0] - 1} non-DC bins available"
-        )
-    return complex(s.bins[0]), np.array(s.bins[1 : 1 + k_cut])
-
-
-def pad_and_restore_dc(y, output_len: int) -> Spectrum:
-    """Zero-pad interpolated bins to output_len/2 and prepend a zero DC bin."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 1:
-        raise ShapeError(f"expected a 1-D bin vector, got shape {y.shape}")
-    if output_len < 2 or output_len % 2 != 0:
-        raise InvalidLengthError(f"output_len must be even and >= 2, got {output_len}")
-    if y.shape[0] > output_len // 2:
-        raise ShapeError(
-            f"{y.shape[0]} bins do not fit below the Nyquist of a "
-            f"length-{output_len} signal"
-        )
-    bins = np.zeros(output_len // 2 + 1, dtype=np.complex128)
-    bins[1 : 1 + y.shape[0]] = y
-    return Spectrum(bins, output_len)
 
 
 def time_shift_spectrum(s: Spectrum, shift: int) -> Spectrum:

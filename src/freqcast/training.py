@@ -32,6 +32,10 @@ from .model import (
 
 # relative val-MSE improvement below this counts as no improvement
 MIN_RELATIVE_IMPROVEMENT = 1e-6
+# Adam moment decays and denominator guard (the usual defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,9 +44,6 @@ class TrainSpec:
     batch_size: int = 64
     max_epochs: int = 50
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
     seeds_for_reporting: tuple[int, ...] = (0, 1, 2, 3, 4)
 
@@ -76,13 +77,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} disagree"
         )
     state.t += 1
-    state.m *= spec.beta1
-    state.m += (1.0 - spec.beta1) * grads
-    state.v *= spec.beta2
-    state.v += (1.0 - spec.beta2) * grads**2
-    m_hat = state.m / (1.0 - spec.beta1**state.t)
-    v_hat = state.v / (1.0 - spec.beta2**state.t)
-    params -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + spec.eps_adam)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads**2
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    params -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 

@@ -1,6 +1,6 @@
-"""Detection-path checks: reconstruction windows, scoring coverage, point
-adjustment against a brute-force segment scan, and the threshold sweep against
-an exhaustive oracle."""
+"""Detection-path checks: reconstruction windows, scores against a
+brute-force per-window oracle, point adjustment against a brute-force segment
+scan, and the threshold sweep against an exhaustive oracle."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from freqcast.errors import (
     InvalidValueError,
     ShapeError,
 )
-from freqcast.model import ComplexLinear, ModelConfig, init_params
+from freqcast.model import ComplexLinear, ModelConfig, init_params, model_forward
 
 
 def test_reconstruction_windows():
@@ -50,15 +50,35 @@ def test_score_series_full_coverage_and_tail():
     layer = init_params(cfg, 0)
     rng = np.random.default_rng(0)
 
-    scores = score_series(cfg, layer, rng.normal(size=(400, 1)))
-    assert scores.coverage.all()
+    scores = score_series(cfg, layer, rng.normal(size=(400, 1)), window=200, factor=4)
+    assert scores.scores.shape == (400,)
 
-    scores = score_series(cfg, layer, rng.normal(size=(500, 1)))
-    assert scores.coverage.all()
+    scores = score_series(cfg, layer, rng.normal(size=(500, 1)), window=200, factor=4)
     assert scores.scores.shape == (500,)
 
     with pytest.raises(InvalidLengthError):
-        score_series(cfg, layer, rng.normal(size=(150, 1)))
+        score_series(cfg, layer, rng.normal(size=(150, 1)), window=200, factor=4)
+
+
+@pytest.mark.parametrize("length", [200, 400, 500])
+def test_score_series_matches_brute_force_window_mean(length):
+    # at 500 rows the end-aligned window [300, 500) overlaps the one at 200
+    window, factor = 200, 4
+    cfg = ModelConfig.for_reconstruction(window, factor, 2)
+    layer = init_params(cfg, 5)
+    series = np.random.default_rng(length).normal(size=(length, 2))
+    starts = set(range(0, length - window + 1, window)) | {length - window}
+    per_row = [[] for _ in range(length)]
+    for s in sorted(starts):
+        seg = series[s : s + window]
+        err = np.mean((model_forward(seg[::factor], cfg, layer) - seg) ** 2, axis=1)
+        for i in range(window):
+            per_row[s + i].append(err[i])
+    want = np.array([np.mean(errs) for errs in per_row])
+
+    got = score_series(cfg, layer, series, window=window, factor=factor).scores
+    assert (want > 0).all()
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_score_series_tail_window_averages():
@@ -66,10 +86,9 @@ def test_score_series_tail_window_averages():
     cfg = ModelConfig.for_reconstruction(200, 4, 1)
     layer = init_params(cfg, 1)
     series = np.zeros((500, 1))
-    scores = score_series(cfg, layer, series)
+    scores = score_series(cfg, layer, series, window=200, factor=4)
     # zero series reconstructs to its (zero) instance mean: all scores zero
     assert np.allclose(scores.scores, 0.0)
-    assert scores.coverage.all()
 
 
 def test_score_series_identity_model_near_zero():

@@ -1,13 +1,14 @@
 """End-to-end command checks on small fixtures: artifacts, determinism,
 resume, schema validation, and exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freqcast.cli import main, read_config_file, validate_config
+from freqcast.cli import _train_spec, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
     SplitRule,
@@ -15,6 +16,7 @@ from freqcast.data import (
     load_csv,
     split_windows,
     standardize,
+    write_labels_csv,
     write_series_csv,
 )
 from freqcast.model import (
@@ -224,6 +226,17 @@ def test_grid_row_is_the_mean_of_train_seeds(tmp_path, sine_csv):
     assert row.val_mse == metrics["mean"]["val_mse"]
     assert row.test_mse == metrics["mean"]["test_mse"]
     assert row.epochs_ran == np.mean([p["epochs"] for p in metrics["per_seed"]])
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("train", {"data": "x.csv", "input_len": "16", "horizon": "8"}),
+    ("grid", {"data": "x.csv", "horizon": "8", "harmonics": "1"}),
+])
+def test_unset_training_keys_give_the_default_train_spec(command, keys):
+    cfg = validate_config(command, keys)
+    spec, default = _train_spec(cfg, cfg["seeds"]), TrainSpec()
+    for field in dataclasses.fields(TrainSpec):
+        assert getattr(spec, field.name) == getattr(default, field.name), field.name
 
 
 SHIPPED_CONFIG_COMMAND = [("_grid.cfg", "grid"), ("_h96.cfg", "train"),
@@ -476,6 +489,32 @@ def _eval_short_series(tmp_path, sine_csv):
     return _eval_argv(tmp_path, _short_csv(tmp_path, sine_csv), 2, profile="etth2")
 
 
+def _detect_argv(tmp_path, data, *flags, **keys):
+    """A detect run on `data` that succeeds unless `flags` and `keys` conflict."""
+    labels = np.zeros(260, dtype=int)
+    labels[200:210] = 1
+    write_labels_csv(tmp_path / "labels.csv", labels)
+    cfg = write_config(tmp_path, "d.cfg", data=data, train_rows=150, window=40,
+                       factor=4, max_epochs=2, **keys)
+    return ["detect", "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]
+
+
+def _detect_checkpoint_and_train_first(tmp_path, sine_csv):
+    ckpt = _recon_checkpoint(tmp_path, 40, 4, 2)
+    return _detect_argv(tmp_path, sine_csv, "--checkpoint", str(ckpt), "--train-first",
+                        labels=tmp_path / "labels.csv")
+
+
+def _detect_labels_and_label_column(tmp_path, sine_csv):
+    frame = load_csv(sine_csv, False)
+    flags = np.zeros((260, 1))
+    flags[200:210] = 1.0
+    labeled = tmp_path / "labeled.csv"
+    write_series_csv(labeled, np.hstack([frame.values, flags]), ["a", "b", "label"])
+    return _detect_argv(tmp_path, labeled, "--train-first",
+                        labels=tmp_path / "labels.csv", label_column="label")
+
+
 @pytest.mark.parametrize("make_argv, code, message", [
     (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
     (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
@@ -483,6 +522,8 @@ def _eval_short_series(tmp_path, sine_csv):
     (_eval_other_channels, 2, "trained on 3 channels, dataset has 2"),
     (_eval_other_channels_short_series, 2, "trained on 3 channels, dataset has 2"),
     (_eval_short_series, 3, "split needs 14400 rows, series has 40"),
+    (_detect_checkpoint_and_train_first, 2, "'checkpoint' and 'train_first', got both"),
+    (_detect_labels_and_label_column, 2, "'labels' and 'label_column', got both"),
 ])
 def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
     argv = make_argv(tmp_path, sine_csv)

@@ -15,7 +15,6 @@ from freqcast.data import (
     SplitRule,
     WindowSet,
     chrono_split,
-    destandardize,
     load_csv,
     load_labels,
     lookback_extended,
@@ -145,15 +144,9 @@ def test_standardize_uses_train_rows_only():
     out, stats = standardize(frame, (0, 70))
     assert np.allclose(out.values[:70].mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(stats.mean, values[:70].mean(axis=0))
+    assert np.allclose(out.values * stats.std + stats.mean, values, atol=1e-9)
     out2, stats2 = standardize(frame, (0, 90))
     assert not np.allclose(stats.mean, stats2.mean)
-
-
-def test_standardize_roundtrip():
-    rng = np.random.default_rng(1)
-    frame = SeriesFrame(rng.normal(5, 3, (50, 3)), ["a", "b", "c"])
-    out, stats = standardize(frame, (0, 35))
-    assert np.allclose(destandardize(out.values, stats), frame.values, atol=1e-9)
 
 
 def test_make_windows_counts_and_contents():

@@ -1,7 +1,7 @@
-"""Model-level checks: normalizer inverse, complex linear layer vs a scalar
-triple loop, the forward pipeline, analytic gradients vs central finite
-differences, seeded init, and parameter accounting against the published
-benchmark settings."""
+"""Model-level checks: normalizer inverse, the kept input bins against
+normalize-then-rfft, the forward pipeline, analytic gradients vs central
+finite differences, seeded init, and parameter accounting against the
+published benchmark settings."""
 
 import math
 
@@ -16,7 +16,6 @@ from freqcast.model import (
     ModelConfig,
     RinState,
     Supervision,
-    complex_linear_forward,
     init_params,
     load_checkpoint,
     model_backward,
@@ -25,6 +24,7 @@ from freqcast.model import (
     param_count,
     rin_denormalize,
     rin_normalize,
+    _normalized_bins,
     save_checkpoint,
     unpack_params,
 )
@@ -80,43 +80,29 @@ def test_rin_rejects_nonfinite_and_mismatched_channels():
         rin_denormalize(np.zeros((4, 3)), state)
 
 
-# --- complex linear layer ------------------------------------------------------
-
-def test_complex_linear_identity():
-    layer = ComplexLinear(np.eye(3, dtype=complex), np.zeros(3, dtype=complex))
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    assert np.allclose(complex_linear_forward(x, layer), x)
-
-
-def test_complex_linear_hand_case():
-    layer = ComplexLinear(np.array([[1 - 1j]]), np.array([1j]))
-    out = complex_linear_forward(np.array([[1 + 1j]]), layer)
-    assert np.allclose(out, [[2 + 1j]])
-
-
-def test_complex_linear_matches_triple_loop():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    w = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-    b = rng.normal(size=5) + 1j * rng.normal(size=5)
-    want = np.zeros((3, 5), dtype=complex)
-    for i in range(3):
-        for o in range(5):
-            acc = b[o]
-            for k in range(4):
-                acc += x[i, k] * w[k, o]
-            want[i, o] = acc
-    assert np.allclose(complex_linear_forward(x, ComplexLinear(w, b)), want, atol=1e-12)
-
-
-def test_complex_linear_shape_error():
-    layer = ComplexLinear(np.eye(3, dtype=complex), np.zeros(3, dtype=complex))
-    with pytest.raises(ShapeError):
-        complex_linear_forward(np.zeros((2, 4), dtype=complex), layer)
-
-
 # --- forward pipeline -----------------------------------------------------------
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_normalized_bins_match_rin_normalize_then_rfft(channels):
+    # with one channel the (B, L, C) -> (B, C, L) transpose can alias the input
+    cfg = ModelConfig.for_forecast(24, 8, 6, 1, channels)
+    rng = np.random.default_rng(40 + channels)
+    x = rng.normal(3.0, 2.0, size=(5, 24, channels))
+    before = x.copy()
+    kept, mean, std = _normalized_bins(x, cfg)
+    assert np.array_equal(x, before)
+
+    xn, state = rin_normalize(x)
+    want = np.fft.rfft(xn, axis=1)[:, 1 : 1 + cfg.n_in, :]
+
+    def rows(a):  # (B, k, C) -> channel-major (B*C, k)
+        return a.transpose(0, 2, 1).reshape(5 * channels, -1)
+
+    assert kept.shape == (5 * channels, cfg.n_in)
+    assert np.abs(kept - rows(want)).max() <= 1e-12
+    assert np.abs(mean - rows(state.mean)).max() <= 1e-12
+    assert np.abs(std - rows(state.std)).max() <= 1e-12
+
 
 def test_forward_zero_weights_returns_instance_mean():
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 2)
@@ -140,7 +126,7 @@ def test_forward_identity_configuration():
 
 def test_forward_shapes_from_derived_dims():
     cfg = ModelConfig.for_forecast(90, 96, 96, 4, 7)
-    assert (cfg.cutoff, cfg.n_out, cfg.output_len) == (14, 28, 186)
+    assert (cfg.n_in, cfg.n_out, cfg.output_len) == (14, 28, 186)
     layer = init_params(cfg, 0)
     y = model_forward(np.zeros((90, 7)) + 1.0, cfg, layer)
     assert y.shape == (186, 7)
@@ -473,8 +459,8 @@ def test_param_count_minute_tables():
 def test_eta_and_horizon():
     cfg = ModelConfig.for_forecast(90, 96, 24, 2, 7)
     assert cfg.horizon == 96
-    assert cfg.eta.numerator == 31 and cfg.eta.denominator == 15  # 186/90 reduced
-    assert float(cfg.eta) == 186 / 90
+    # the interpolation rate eta = 186/90 carries over to the bin counts
+    assert (cfg.n_in, cfg.n_out) == (18, 186 * 18 // 90)
 
 
 # --- parameter packing and checkpoints ------------------------------------------

@@ -18,11 +18,9 @@ from freqcast.spectral import (
     base_frequency,
     cutoff_bins,
     irfft,
-    pad_and_restore_dc,
     polar,
     rfft,
     time_shift_spectrum,
-    truncate_spectrum,
 )
 
 
@@ -142,46 +140,6 @@ def test_cutoff_bins_monotone():
         for n in (1, 3, 6):
             ks = [cutoff_bins(window, period, n) for window in (90, 180, 360, 720)]
             assert all(a <= b for a, b in zip(ks, ks[1:]))
-
-
-def test_truncate_spectrum():
-    s = Spectrum([5, 1 + 1j, 2, 3], 6)
-    dc, kept = truncate_spectrum(s, 2)
-    assert dc == 5
-    assert np.allclose(kept, [1 + 1j, 2])
-    _, full = truncate_spectrum(s, 3)
-    assert np.allclose(full, s.bins[1:])
-    with pytest.raises(ShapeError):
-        truncate_spectrum(s, 4)
-
-
-def test_truncate_idempotent():
-    rng = np.random.default_rng(17)
-    s = rfft(rng.normal(size=20))
-    _, once = truncate_spectrum(s, 4)
-    again = pad_and_restore_dc(once, 20)
-    _, twice = truncate_spectrum(again, 4)
-    assert np.allclose(once, twice)
-
-
-def test_pad_and_restore_dc():
-    s = pad_and_restore_dc([1 + 1j], 6)
-    assert np.allclose(s.bins, [0, 1 + 1j, 0, 0])
-    assert s.source_len == 6
-    full = pad_and_restore_dc([1j, 2.0, 3.0], 6)
-    assert np.allclose(full.bins, [0, 1j, 2.0, 3.0])
-    with pytest.raises(ShapeError):
-        pad_and_restore_dc([1, 2, 3, 4], 6)
-    with pytest.raises(InvalidLengthError):
-        pad_and_restore_dc([1], 5)
-
-
-def test_pad_output_has_zero_mean():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        y = rng.normal(size=5) + 1j * rng.normal(size=5)
-        x = irfft(pad_and_restore_dc(y, 16))
-        assert abs(x.mean()) < 1e-9
 
 
 def test_time_shift_identity_and_amplitude():

@@ -61,7 +61,7 @@ def test_adam_matches_scalar_trace():
     state = AdamState.zeros(1)
     for g in grads:
         adam_step(params, np.array([g]), state, spec)
-    want = scalar_adam_trace(grads, 0.1, spec.beta1, spec.beta2, spec.eps_adam)
+    want = scalar_adam_trace(grads, 0.1, 0.9, 0.999, 1e-8)
     assert math.isclose(params[0], want, rel_tol=1e-12)
 
 
