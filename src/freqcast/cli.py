@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import namedtuple
 import os
 import sys
 import time
@@ -26,12 +27,13 @@ from . import anomaly as ad
 from . import data as dat
 from . import model as mdl
 from . import training as trn
-from .errors import ConfigError, FreqcastError
+from .errors import ConfigError, FreqcastError, InvalidArgumentError
 
 DATA_ROOT_ENV = "FREQCAST_DATA"
 DETECT_WINDOW_FACTOR = {"window": 200, "factor": 4}
 # grid keys that vary inside one run; every other key must match on --resume
 GRID_SWEPT = ("look_backs", "harmonics", "supervisions")
+REQUIRED = object()  # schema default of a key that every config must set
 
 
 # --- config schema ----------------------------------------------------------
@@ -57,10 +59,6 @@ def _bool(text):
     if low in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"expected true/false, got {text!r}")
-
-
-def _str(text):
-    return text
 
 
 def _list_of(parse):
@@ -99,8 +97,8 @@ _TRAIN_COMMON = {
 _SEEDS = (_list_of(_int), list(_SPEC_DEFAULTS.seeds_for_reporting))
 
 _DATASET_COMMON = {
-    "data": (_str, None),
-    "profile": (_str, None),
+    "data": (str, REQUIRED),
+    "profile": (str, None),
     "period": (_int, None),
     "timestamp_column": (_bool, True),
 }
@@ -109,8 +107,8 @@ SCHEMAS = {
     "train": {
         **_DATASET_COMMON,
         **_TRAIN_COMMON,
-        "input_len": (_int, None),
-        "horizon": (_int, None),
+        "input_len": (_int, REQUIRED),
+        "horizon": (_int, REQUIRED),
         "harmonic": (_harmonic, 0),
         "supervision": (_supervision, mdl.Supervision.BACKCAST_AND_FORECAST),
         "seeds": _SEEDS,
@@ -118,26 +116,26 @@ SCHEMAS = {
     "grid": {
         **_DATASET_COMMON,
         **_TRAIN_COMMON,
-        "horizon": (_int, None),
+        "horizon": (_int, REQUIRED),
         "look_backs": (_list_of(_int), [90, 180, 360, 720]),
-        "harmonics": (_list_of(_harmonic), None),
+        "harmonics": (_list_of(_harmonic), REQUIRED),
         "supervisions": (_list_of(_supervision), list(mdl.Supervision)),
         "seeds": _SEEDS,
     },
     "eval": {
         **_DATASET_COMMON,
-        "checkpoint": (_str, None),
+        "checkpoint": (str, REQUIRED),
     },
     "detect": {
-        "data": (_str, None),
-        "labels": (_str, None),
-        "label_column": (_str, None),
+        "data": (str, REQUIRED),
+        "labels": (str, None),
+        "label_column": (str, None),
         "timestamp_column": (_bool, False),
-        "train_rows": (_int, None),
+        "train_rows": (_int, REQUIRED),
         # unset: taken from the checkpoint, else DETECT_WINDOW_FACTOR
         "window": (_int, None),
         "factor": (_int, None),
-        "checkpoint": (_str, None),
+        "checkpoint": (str, None),
         "train_first": (_bool, False),
         "dump_scores": (_bool, False),
         "seed": (_int, _SPEC_DEFAULTS.seed),
@@ -151,20 +149,11 @@ SCHEMAS = {
     },
 }
 
-_REQUIRED = {
-    "train": ("data", "input_len", "horizon"),
-    "grid": ("data", "horizon", "harmonics"),
-    "eval": ("data", "checkpoint"),
-    "detect": ("data", "train_rows"),
-    "synth": (),
-}
-
-
 def read_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -191,8 +180,8 @@ def validate_config(command: str, raw: dict[str, str]) -> dict:
                 raise ConfigError(f"key {key!r}: {exc}") from None
         else:
             cfg[key] = default
-    for key in _REQUIRED[command]:
-        if cfg.get(key) is None:
+    for key, value in cfg.items():
+        if value is REQUIRED:
             raise ConfigError(f"missing required key {key!r} for {command}")
     return cfg
 
@@ -238,27 +227,25 @@ def make_run_dir(out_root, command: str) -> Path:
     return candidate
 
 
-def write_json(path: Path, payload) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_atomic(path: Path, writer) -> None:
+    """writer(tmp) fills a .tmp sibling, which then replaces `path` in one step."""
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
     os.replace(tmp, path)
 
 
+def write_json(path: Path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, lambda p: p.write_text(text, encoding="utf-8"))
+
+
 def _train_spec(cfg: dict, seeds) -> trn.TrainSpec:
-    return trn.TrainSpec(
-        learning_rate=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=seeds[0],
-        seeds_for_reporting=tuple(seeds),
-    )
+    """The config's training keys; a value TrainSpec rejects is a config error."""
+    try:
+        return trn.TrainSpec(**{key: cfg[key] for key in _TRAIN_COMMON},
+                             seed=seeds[0], seeds_for_reporting=tuple(seeds))
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # --- commands ----------------------------------------------------------------
@@ -279,10 +266,11 @@ def _standardized_frame(cfg: dict, model_cfg: mdl.ModelConfig | None):
 
 
 def cmd_train(cfg: dict, run_dir: Path) -> None:
+    spec = _train_spec(cfg, cfg["seeds"])
     profile, frame = _standardized_frame(cfg, None)
     model_cfg, runs = trn.train_seeds(
         frame, profile, cfg["horizon"], cfg["input_len"], cfg["harmonic"],
-        cfg["supervision"], _train_spec(cfg, cfg["seeds"]),
+        cfg["supervision"], spec,
     )
     per_seed = [record for record, _, _ in runs]
     _, best, history = min(runs, key=lambda run: run[0]["val_mse"])  # first on ties
@@ -318,12 +306,15 @@ def _config_echo(cfg: dict, model_cfg: mdl.ModelConfig) -> dict:
     }
 
 
-def _pin_grid_config(cfg: dict, run_dir: Path, resume: bool) -> None:
-    """Write the run's fixed keys to config.json; on resume, refuse a change."""
+def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
+    """Write the run's fixed keys to config.json; if it exists, refuse a change."""
     pinned = {k: v for k, v in cfg.items() if k not in GRID_SWEPT}
     path = run_dir / "config.json"
-    if resume and path.exists():
-        stored = json.loads(path.read_text(encoding="utf-8"))
+    if path.exists():
+        try:
+            stored = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"cannot read {path}: {exc}") from None
         current = json.loads(json.dumps(pinned))
         changed = sorted(k for k in stored.keys() | current.keys()
                          if stored.get(k) != current.get(k))
@@ -337,14 +328,15 @@ def _pin_grid_config(cfg: dict, run_dir: Path, resume: bool) -> None:
         write_json(path, pinned)
 
 
-def cmd_grid(cfg: dict, run_dir: Path, resume: bool) -> None:
-    _pin_grid_config(cfg, run_dir, resume)
-    profile, frame = _standardized_frame(cfg, None)
+def cmd_grid(cfg: dict, run_dir: Path) -> None:
+    """Sweep the grid into run_dir; files already there (--resume) are continued."""
     spec = _train_spec(cfg, cfg["seeds"])
+    _pin_grid_config(cfg, run_dir)
+    profile, frame = _standardized_frame(cfg, None)
 
     grid_path = run_dir / "grid.csv"
     done_rows = []
-    if resume and grid_path.exists():
+    if grid_path.exists():
         done_rows = trn.read_grid_csv(grid_path)
         # rewrite the log so a dropped torn row cannot prefix the next append
         _write_atomic(grid_path, lambda p: trn.write_grid_csv(p, done_rows))
@@ -391,7 +383,7 @@ def cmd_eval(cfg: dict, run_dir: Path) -> None:
     val_mse, val_mae = trn.evaluate(model_cfg, layer, val_w, model_cfg.horizon)
     test_mse, test_mae = trn.evaluate(model_cfg, layer, test_w, model_cfg.horizon)
     write_json(run_dir / "metrics.json", {
-        "config": _config_echo({"data": cfg["data"]}, model_cfg),
+        "config": _config_echo(cfg, model_cfg),
         "val_mse": val_mse, "val_mae": val_mae,
         "test_mse": test_mse, "test_mae": test_mae,
     })
@@ -410,6 +402,7 @@ def _exactly_one(cfg: dict, first: str, second: str) -> None:
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
     _exactly_one(cfg, "checkpoint", "train_first")
     _exactly_one(cfg, "labels", "label_column")
+    spec = _train_spec(cfg, [cfg["seed"]])
     model_cfg = layer = None
     shape = DETECT_WINDOW_FACTOR
     if cfg["checkpoint"]:
@@ -447,7 +440,6 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         n_val = max(1, len(windows) // 5)
         train_w = dat.ArrayWindows(windows.inputs[:-n_val], windows.targets[:-n_val])
         val_w = dat.ArrayWindows(windows.inputs[-n_val:], windows.targets[-n_val:])
-        spec = _train_spec(cfg, [cfg["seed"]])
         layer, _ = trn.train(model_cfg, mdl.init_params(model_cfg, cfg["seed"]),
                              train_w, val_w, spec, eval_steps=None)
         _write_atomic(run_dir / "model.ckpt",
@@ -469,10 +461,9 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     }
     write_json(run_dir / "report.json", payload)
     if cfg["dump_scores"]:
-        with open(run_dir / "scores.csv", "w", encoding="utf-8") as fh:
-            fh.write("timestep,score,label\n")
-            for i, (s, l) in enumerate(zip(scores.scores, labels[split:])):
-                fh.write(f"{split + i},{s:.10g},{int(l)}\n")
+        rows = np.column_stack([np.arange(split, frame.length), scores.scores, labels[split:]])
+        _write_atomic(run_dir / "scores.csv", lambda p: np.savetxt(
+            p, rows, fmt="%d,%.10g,%d", header="timestep,score,label", comments=""))
     print(f"run dir: {run_dir}")
     print(f"F1: {report.f1:.4f}  precision: {report.precision:.4f}  "
           f"recall: {report.recall:.4f}")
@@ -481,8 +472,10 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
 def cmd_synth(cfg: dict, run_dir: Path) -> None:
     series, split = dat.synth_anomaly(cfg["length"], cfg["channels"], cfg["rate"],
                                       cfg["seed"])
-    dat.write_series_csv(run_dir / "synth_values.csv", series.values)
-    dat.write_labels_csv(run_dir / "synth_labels.csv", series.labels)
+    _write_atomic(run_dir / "synth_values.csv",
+                  lambda p: dat.write_series_csv(p, series.values))
+    _write_atomic(run_dir / "synth_labels.csv",
+                  lambda p: dat.write_labels_csv(p, series.labels))
     write_json(run_dir / "synth_meta.json", {
         "length": cfg["length"], "channels": cfg["channels"], "rate": cfg["rate"],
         "seed": cfg["seed"], "train_rows": split,
@@ -493,20 +486,32 @@ def cmd_synth(cfg: dict, run_dir: Path) -> None:
 
 # --- entry point --------------------------------------------------------------
 
+# `flags` maps the config keys that also have a --flag to the flag's help; the
+# flag of a true/false key takes no value and sets it to true
+Command = namedtuple("Command", "help run flags")
+
+COMMANDS = {
+    "train": Command("train a forecaster and record metrics", cmd_train, {}),
+    "grid": Command("grid-search look-back windows and harmonics", cmd_grid, {}),
+    "eval": Command("evaluate a checkpoint on a dataset", cmd_eval,
+                    {"checkpoint": "model checkpoint to evaluate"}),
+    "detect": Command("reconstruction-based anomaly detection", cmd_detect, {
+        "checkpoint": "trained reconstruction checkpoint",
+        "train_first": "train the reconstruction model before detecting",
+        "dump_scores": "write per-timestep scores.csv",
+    }),
+    "synth": Command("generate the synthetic anomaly benchmark", cmd_synth, {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freqcast",
         description="Frequency-interpolation forecasting and anomaly detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("train", "train a forecaster and record metrics"),
-        ("grid", "grid-search look-back windows and harmonics"),
-        ("eval", "evaluate a checkpoint on a dataset"),
-        ("detect", "reconstruction-based anomaly detection"),
-        ("synth", "generate the synthetic anomaly benchmark"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", default="runs", help="parent directory for run outputs")
         p.add_argument("--seed", help="seed override: N or N,N,...")
@@ -514,14 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override one config key")
         if name == "grid":
             p.add_argument("--resume", help="existing run directory to continue")
-        if name == "eval":
-            p.add_argument("--checkpoint", help="model checkpoint to evaluate")
-        if name == "detect":
-            p.add_argument("--checkpoint", help="trained reconstruction checkpoint")
-            p.add_argument("--train-first", action="store_true",
-                           help="train the reconstruction model before detecting")
-            p.add_argument("--dump-scores", action="store_true",
-                           help="write per-timestep scores.csv")
+        for key, help_text in command.flags.items():
+            action = "store_true" if SCHEMAS[name][key][0] is _bool else "store"
+            p.add_argument("--" + key.replace("_", "-"), action=action, help=help_text)
     return parser
 
 
@@ -533,13 +533,11 @@ def _gather_raw(args) -> dict[str, str]:
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
     if args.seed is not None:
-        raw["seeds" if args.command in ("train", "grid") else "seed"] = args.seed
-    if getattr(args, "checkpoint", None):
-        raw["checkpoint"] = args.checkpoint
-    if getattr(args, "train_first", False):
-        raw["train_first"] = "true"
-    if getattr(args, "dump_scores", False):
-        raw["dump_scores"] = "true"
+        raw["seeds" if "seeds" in SCHEMAS[args.command] else "seed"] = args.seed
+    for key in COMMANDS[args.command].flags:
+        value = getattr(args, key)
+        if value:
+            raw[key] = "true" if value is True else value
     return raw
 
 
@@ -547,21 +545,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = validate_config(args.command, _gather_raw(args))
-        if args.command == "grid" and getattr(args, "resume", None):
+        if getattr(args, "resume", None):  # grid only
             run_dir = Path(args.resume)
             if not run_dir.is_dir():
                 raise ConfigError(f"--resume directory {run_dir} does not exist")
-            cmd_grid(cfg, run_dir, resume=True)
-        elif args.command == "grid":
-            cmd_grid(cfg, make_run_dir(args.out, "grid"), resume=False)
-        elif args.command == "train":
-            cmd_train(cfg, make_run_dir(args.out, "train"))
-        elif args.command == "eval":
-            cmd_eval(cfg, make_run_dir(args.out, "eval"))
-        elif args.command == "detect":
-            cmd_detect(cfg, make_run_dir(args.out, "detect"))
         else:
-            cmd_synth(cfg, make_run_dir(args.out, "synth"))
+            run_dir = make_run_dir(args.out, args.command)
+        COMMANDS[args.command].run(cfg, run_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

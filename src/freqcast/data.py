@@ -32,11 +32,10 @@ from .model import Supervision
 
 @dataclass
 class SeriesFrame:
-    """T x C multivariate series with channel names and optional timestamps."""
+    """T x C multivariate series with channel names."""
 
     values: np.ndarray
     channel_names: list[str]
-    timestamps: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -107,69 +106,59 @@ class LabeledSeries:
 def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
     """Load a comma-separated numeric series with a header row.
 
-    The first column is captured as timestamps when flagged. Parse failures
-    raise ParseError naming the offending row and column (1-based, counting
-    the header as row 1).
+    A flagged first column (the timestamps) is skipped. Every other cell must
+    parse with `float` and be finite: the first cell that fails, row by row
+    and left to right, raises ParseError naming its row and column (1-based,
+    counting the header as row 1). A file that is not UTF-8 raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        if has_timestamp_column and len(header) < 2:
-            raise ParseError(f"{path}: need at least one value column beside the timestamp")
-        names = header[1:] if has_timestamp_column else header
-        width = len(header)
-        timestamps: list[str] | None = [] if has_timestamp_column else None
-        data: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {width}"
-                )
-            if has_timestamp_column:
-                timestamps.append(row[0])
-                row = row[1:]
-            try:
-                parsed = [float(cell) for cell in row]
-            except ValueError:
-                bad = next(i for i, cell in enumerate(row) if not _is_number(cell))
-                raise ParseError(
-                    f"{path}: row {lineno}, column {bad + 1 + has_timestamp_column}: "
-                    f"could not parse {row[bad]!r} as a number"
-                ) from None
-            for i, v in enumerate(parsed):
-                if not math.isfinite(v):
+    skip = int(has_timestamp_column)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: file is empty")
+            if has_timestamp_column and len(header) < 2:
+                raise ParseError(f"{path}: need at least one value column beside the timestamp")
+            data: list[list[float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise ParseError(
-                        f"{path}: row {lineno}, column {i + 1 + has_timestamp_column}: "
-                        f"non-finite value {row[i]!r}"
+                        f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
                     )
-            data.append(parsed)
+                parsed = []
+                for column, cell in enumerate(row[skip:], start=1 + skip):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(f"{path}: row {lineno}, column {column}: "
+                                         f"could not parse {cell!r} as a number") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}: row {lineno}, column {column}: "
+                                         f"non-finite value {cell!r}")
+                    parsed.append(value)
+                data.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not data:
         raise ParseError(f"{path}: no data rows")
-    return SeriesFrame(np.array(data, dtype=np.float64), list(names), timestamps)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+    return SeriesFrame(np.array(data, dtype=np.float64), header[skip:])
 
 
 def load_labels(path, expected_len: int | None = None) -> np.ndarray:
     """One 0/1 integer per line -> boolean vector."""
     labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise ParseError(f"{path}: line {lineno}: expected 0 or 1, got {text!r}")
-            labels.append(text == "1")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                if text not in ("0", "1"):
+                    raise ParseError(f"{path}: line {lineno}: expected 0 or 1, got {text!r}")
+                labels.append(text == "1")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     arr = np.array(labels, dtype=bool)
     if expected_len is not None and arr.shape[0] != expected_len:
         raise ShapeError(f"{path}: {arr.shape[0]} labels for {expected_len} timesteps")
@@ -186,7 +175,7 @@ def split_label_column(frame: SeriesFrame, column: str = "label") -> tuple[Serie
         raise InvalidValueError(f"column {column!r} contains values other than 0/1")
     keep = [i for i in range(frame.channels) if i != idx]
     names = [frame.channel_names[i] for i in keep]
-    return SeriesFrame(frame.values[:, keep], names, frame.timestamps), labels.astype(bool)
+    return SeriesFrame(frame.values[:, keep], names), labels.astype(bool)
 
 
 def chrono_split(frame: SeriesFrame, profile: DatasetProfile):
@@ -227,7 +216,7 @@ def standardize(frame: SeriesFrame, train_range: tuple[int, int]):
     train = frame.values[start:end]
     mean = train.mean(axis=0)
     std = np.maximum(train.std(axis=0), 1e-8)
-    out = SeriesFrame((frame.values - mean) / std, list(frame.channel_names), frame.timestamps)
+    out = SeriesFrame((frame.values - mean) / std, list(frame.channel_names))
     return out, ChannelStats(mean, std)
 
 

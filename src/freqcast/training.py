@@ -48,6 +48,8 @@ class TrainSpec:
     seeds_for_reporting: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise InvalidArgumentError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise InvalidArgumentError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.patience < 1:
@@ -312,8 +314,11 @@ def read_grid_csv(path) -> list[GridRow]:
     leave a final row without its line end; that torn row is dropped and its
     cell reruns. Any other malformed row raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     records = list(csv.reader(text.splitlines()))
     if text and not text.endswith("\n"):
         records.pop()  # torn final row

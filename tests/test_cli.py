@@ -3,6 +3,7 @@ resume, schema validation, and exit codes."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,80 @@ def test_train_missing_required_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.cfg", input_len=32, horizon=8)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "required" in capsys.readouterr().err
+
+
+REQUIRED_KEYS = {
+    "train": {"data": "x.csv", "input_len": "16", "horizon": "8"},
+    "grid": {"data": "x.csv", "horizon": "8", "harmonics": "1"},
+    "eval": {"data": "x.csv", "checkpoint": "m.ckpt"},
+    "detect": {"data": "x.csv", "train_rows": "100"},
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in REQUIRED_KEYS.items() for key in keys
+])
+def test_missing_required_key_is_named(tmp_path, capsys, command, key):
+    validate_config(command, REQUIRED_KEYS[command])  # nothing else is required
+    cfg = write_config(tmp_path, "bad.cfg",
+                       **{k: v for k, v in REQUIRED_KEYS[command].items() if k != key})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"missing required key '{key}' for {command}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+HELP_OPTIONS = {
+    "train": [],
+    "grid": ["--resume RESUME"],
+    "eval": ["--checkpoint CHECKPOINT"],
+    "detect": ["--checkpoint CHECKPOINT", "--train-first", "--dump-scores"],
+    "synth": [],
+}
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS)
+def test_help_lists_each_commands_options(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    listed = re.findall(r"^ {2}(?:-h, )?(--\S+(?: [A-Z=]+)?)", out[out.index("options:"):],
+                        re.MULTILINE)
+    assert listed == ["--help", "--config CONFIG", "--out OUT", "--seed SEED",
+                      "--set KEY=VALUE", *HELP_OPTIONS[command]]
+
+
+def _bad_value_argv(tmp_path, command):
+    """A run of `command` whose data, labels and checkpoint files do not exist."""
+    missing = tmp_path / "missing.csv"
+    keys, flags = {
+        "train": ({"period": 24, "input_len": 16, "horizon": 8}, []),
+        "grid": ({"period": 24, "horizon": 8, "harmonics": 1}, []),
+        "detect": ({"labels": missing, "train_rows": 100}, ["--train-first"]),
+        "detect-checkpoint": ({"labels": missing, "train_rows": 100},
+                              ["--checkpoint", str(tmp_path / "missing.ckpt")]),
+    }[command]
+    cfg = write_config(tmp_path, "c.cfg", data=missing, **keys)
+    return [command.split("-")[0], "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("learning_rate", "0", "learning_rate must be > 0"),
+    ("learning_rate", "nan", "learning_rate must be finite"),
+    ("learning_rate", "inf", "learning_rate must be finite"),
+    ("batch_size", "0", "batch_size must be >= 1"),
+    ("max_epochs", "0", "max_epochs must be >= 1"),
+    ("patience", "0", "patience must be >= 1"),
+])
+@pytest.mark.parametrize("command", ["train", "grid", "detect", "detect-checkpoint"])
+def test_bad_training_value_exits_2_before_any_file_is_read(tmp_path, capsys, command,
+                                                            key, value, message):
+    argv = _bad_value_argv(tmp_path, command) + ["--set", f"{key}={value}"]
+    assert main(argv) == 2  # 3 if a missing file were opened first
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not [p for p in (tmp_path / "r").rglob("*") if p.is_file()]  # no config.json
 
 
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):
@@ -433,15 +508,25 @@ def test_grid_resume_drops_torn_final_row(tmp_path, sine_csv):
     assert grid.read_bytes() == full
 
 
-def _torn_middle_grid(tmp_path, sine_csv):
+def _resume_finished_grid(tmp_path, sine_csv, replace=None):
+    """argv resuming a finished grid run; `replace` maps a file name in its run
+    directory to the bytes it is overwritten with."""
     cfg = _grid_cfg(tmp_path, sine_csv)
     out = tmp_path / "runs"
     assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
     (run_dir,) = run_dirs(out)
-    lines = (run_dir / "grid.csv").read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:12] + "\r\n"
-    (run_dir / "grid.csv").write_text("".join(lines))
+    for name, content in (replace or {}).items():
+        (run_dir / name).write_bytes(content)
     return ["grid", "--config", str(cfg), "--resume", str(run_dir)]
+
+
+def _torn_middle_grid(tmp_path, sine_csv):
+    argv = _resume_finished_grid(tmp_path, sine_csv)
+    grid = Path(argv[-1]) / "grid.csv"
+    lines = grid.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:12] + "\r\n"
+    grid.write_text("".join(lines))
+    return argv
 
 
 def _empty_seed_list(tmp_path, sine_csv):
@@ -515,7 +600,48 @@ def _detect_labels_and_label_column(tmp_path, sine_csv):
                         labels=tmp_path / "labels.csv", label_column="label")
 
 
+UNDECODABLE = b"a,b\n1,\xff\n"
+
+
+def _config_not_utf8(tmp_path, sine_csv):
+    cfg = tmp_path / "undecodable.cfg"
+    cfg.write_bytes(b"data = x.csv\n" + UNDECODABLE)
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
+def _data_not_utf8(tmp_path, sine_csv):
+    data = tmp_path / "undecodable.csv"
+    data.write_bytes(UNDECODABLE)
+    cfg = write_config(tmp_path, "t.cfg", data=data, period=24,
+                       timestamp_column="false", input_len=32, horizon=8)
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
+def _labels_not_utf8(tmp_path, sine_csv):
+    labels = tmp_path / "undecodable_labels.csv"
+    labels.write_bytes(b"0\n1\n\xff\n")
+    return _detect_argv(tmp_path, sine_csv, "--train-first", labels=labels)
+
+
+def _grid_csv_not_utf8(tmp_path, sine_csv):
+    return _resume_finished_grid(tmp_path, sine_csv, {"grid.csv": UNDECODABLE})
+
+
+def _config_json_not_utf8(tmp_path, sine_csv):
+    return _resume_finished_grid(tmp_path, sine_csv, {"config.json": b"\xff"})
+
+
+def _config_json_not_json(tmp_path, sine_csv):
+    return _resume_finished_grid(tmp_path, sine_csv, {"config.json": b'{"horizon": 8'})
+
+
 @pytest.mark.parametrize("make_argv, code, message", [
+    (_config_not_utf8, 2, "undecodable.cfg: 'utf-8' codec can't decode byte 0xff"),
+    (_data_not_utf8, 3, "undecodable.csv: not UTF-8 text (invalid start byte)"),
+    (_labels_not_utf8, 3, "undecodable_labels.csv: not UTF-8 text (invalid start byte)"),
+    (_grid_csv_not_utf8, 3, "grid.csv: not UTF-8 text (invalid start byte)"),
+    (_config_json_not_utf8, 2, "config.json: 'utf-8' codec can't decode byte 0xff"),
+    (_config_json_not_json, 2, "config.json: Expecting ',' delimiter"),
     (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
     (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
     (_truncated_checkpoint, 3, "truncated"),

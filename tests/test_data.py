@@ -41,7 +41,6 @@ def test_load_csv_basic(tmp_path):
     frame = load_csv(path)
     assert frame.channel_names == ["a", "b"]
     assert np.array_equal(frame.values, [[1, 2], [3, 4], [5, 6]])
-    assert frame.timestamps is None
 
 
 def test_load_csv_with_timestamp_column(tmp_path):
@@ -49,7 +48,6 @@ def test_load_csv_with_timestamp_column(tmp_path):
     path.write_text("date,x,y\n2020-01-01,1,2\n2020-01-02,3,4\n")
     frame = load_csv(path, has_timestamp_column=True)
     assert frame.channel_names == ["x", "y"]
-    assert frame.timestamps == ["2020-01-01", "2020-01-02"]
     assert np.array_equal(frame.values, [[1, 2], [3, 4]])
 
 
@@ -73,6 +71,23 @@ def test_load_csv_errors(tmp_path):
     hole.write_text("a\n1\nnan\n")
     with pytest.raises(ParseError, match="non-finite"):
         load_csv(hole)
+
+
+@pytest.mark.parametrize("row, column, message", [
+    ("inf,oops", 1, "non-finite value 'inf'"),
+    ("oops,inf", 1, "could not parse 'oops' as a number"),
+    ("1,oops", 2, "could not parse 'oops' as a number"),
+    ("1,-inf", 2, "non-finite value '-inf'"),
+])
+def test_load_csv_names_the_leftmost_bad_cell(tmp_path, row, column, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b\n1,2\n{row}\n")
+    with pytest.raises(ParseError, match=f"row 3, column {column}: {message}"):
+        load_csv(path)
+    stamped = tmp_path / "stamped.csv"
+    stamped.write_text(f"t,a,b\n0,1,2\n1,{row}\n")
+    with pytest.raises(ParseError, match=f"row 3, column {column + 1}: {message}"):
+        load_csv(stamped, has_timestamp_column=True)
 
 
 def test_load_csv_etth1_dimensions():
