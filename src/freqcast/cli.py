@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import namedtuple
+from dataclasses import asdict
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from . import anomaly as ad
 from . import data as dat
 from . import model as mdl
 from . import training as trn
-from .errors import ConfigError, FreqcastError, InvalidArgumentError
+from .errors import ConfigError, FreqcastError, InvalidArgumentError, InvalidLengthError
 
 DATA_ROOT_ENV = "FREQCAST_DATA"
 DETECT_WINDOW_FACTOR = {"window": 200, "factor": 4}
@@ -315,6 +316,8 @@ def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
             stored = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"cannot read {path}: {exc}") from None
+        if not isinstance(stored, dict):
+            raise ConfigError(f"cannot read {path}: not a JSON object")
         current = json.loads(json.dumps(pinned))
         changed = sorted(k for k in stored.keys() | current.keys()
                          if stored.get(k) != current.get(k))
@@ -329,38 +332,25 @@ def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_grid(cfg: dict, run_dir: Path) -> None:
-    """Sweep the grid into run_dir; files already there (--resume) are continued."""
+    """Sweep the grid into run_dir; rows already in its grid.csv (--resume) are kept."""
     spec = _train_spec(cfg, cfg["seeds"])
     _pin_grid_config(cfg, run_dir)
     profile, frame = _standardized_frame(cfg, None)
-
     grid_path = run_dir / "grid.csv"
-    done_rows = []
-    if grid_path.exists():
-        done_rows = trn.read_grid_csv(grid_path)
-        # rewrite the log so a dropped torn row cannot prefix the next append
-        _write_atomic(grid_path, lambda p: trn.write_grid_csv(p, done_rows))
-    done = {(r.look_back, r.harmonic, r.supervision) for r in done_rows}
+    done = trn.read_grid_csv(grid_path) if grid_path.exists() else []
 
-    def on_row(row):
-        trn.append_grid_csv(grid_path, [row])
+    def on_row(rows):
+        _write_atomic(grid_path, lambda p: trn.write_grid_csv(p, rows))
+        row = rows[-1]
         print(f"  L={row.look_back} n={row.harmonic} {row.supervision}: "
               f"val {row.val_mse:.6f} test {row.test_mse:.6f}")
 
-    result = trn.grid_search(
+    selected = trn.grid_search(
         frame, profile, cfg["horizon"], cfg["look_backs"], cfg["harmonics"],
-        cfg["supervisions"], spec, skip=done, on_row=on_row,
-    )
-    all_rows = done_rows + result.rows
-    selected = trn.select_best(all_rows)
-    write_json(run_dir / "selected.json", {
-        "look_back": selected.look_back,
-        "harmonic": selected.harmonic,
-        "supervision": selected.supervision,
-        "val_mse": selected.val_mse,
-        "test_mse": selected.test_mse,
-        "complex_entries": selected.complex_entries,
-    })
+        cfg["supervisions"], spec, done=done, on_row=on_row,
+    ).selected
+    write_json(run_dir / "selected.json",
+               {k: v for k, v in asdict(selected).items() if k != "epochs_ran"})
     print(f"run dir: {run_dir}")
     print(f"selected: L={selected.look_back} n={selected.harmonic} "
           f"{selected.supervision} (val MSE {selected.val_mse:.6f})")
@@ -446,20 +436,11 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
                       lambda p: mdl.save_checkpoint(p, model_cfg, layer))
 
     scores = ad.score_series(model_cfg, layer, values[split:], window, factor)
-    threshold, report = ad.select_threshold(scores.scores, labels[split:])
-    payload = {
-        "threshold": threshold,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "accuracy": report.accuracy,
-        "adjusted": report.adjusted,
-        "window": window,
-        "factor": factor,
-        "params": mdl.param_count(model_cfg)[0],
-        "threshold_source": "labeled-test",
-    }
-    write_json(run_dir / "report.json", payload)
+    _, report = ad.select_threshold(scores.scores, labels[split:])
+    write_json(run_dir / "report.json", {
+        **asdict(report), "window": window, "factor": factor,
+        "params": mdl.param_count(model_cfg)[0], "threshold_source": "labeled-test",
+    })
     if cfg["dump_scores"]:
         rows = np.column_stack([np.arange(split, frame.length), scores.scores, labels[split:]])
         _write_atomic(run_dir / "scores.csv", lambda p: np.savetxt(
@@ -470,8 +451,11 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_synth(cfg: dict, run_dir: Path) -> None:
-    series, split = dat.synth_anomaly(cfg["length"], cfg["channels"], cfg["rate"],
-                                      cfg["seed"])
+    try:
+        series, split = dat.synth_anomaly(cfg["length"], cfg["channels"], cfg["rate"],
+                                          cfg["seed"])
+    except (InvalidArgumentError, InvalidLengthError) as exc:
+        raise ConfigError(str(exc)) from None
     _write_atomic(run_dir / "synth_values.csv",
                   lambda p: dat.write_series_csv(p, series.values))
     _write_atomic(run_dir / "synth_labels.csv",

@@ -307,6 +307,12 @@ def synth_anomaly(length: int = 4000, channels: int = 1, rate: float = 0.05,
     """
     if length < 100:
         raise InvalidLengthError(f"need at least 100 timesteps, got {length}")
+    if channels < 1:
+        raise InvalidArgumentError(f"channels must be >= 1, got {channels}")
+    if not 0.0 <= rate <= 1.0:  # false for nan too
+        raise InvalidArgumentError(f"rate must lie in [0, 1], got {rate}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     split = int(length * 2500 / 4000)
     t = np.arange(length)

@@ -89,6 +89,8 @@ class ModelConfig:
     @classmethod
     def for_forecast(cls, input_len, horizon, period, harmonic, channels,
                      supervision=Supervision.BACKCAST_AND_FORECAST):
+        if horizon < 1:
+            raise InvalidArgumentError(f"horizon must be >= 1, got {horizon}")
         return cls(input_len, input_len + horizon, period, harmonic, channels, supervision)
 
     @classmethod

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +57,9 @@ class TrainSpec:
             raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise InvalidArgumentError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        for seed in (self.seed, *self.seeds_for_reporting):
+            if seed < 0:
+                raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -254,22 +256,25 @@ def run_combination(frame, profile, horizon: int, look_back: int, harmonic: int,
 
 
 def grid_search(frame, profile, horizon: int, look_backs, harmonics,
-                supervisions, spec: TrainSpec, skip=None, on_row=None) -> GridResult:
-    """Full sweep; `skip` may hold (look_back, harmonic, supervision-value)
-    triples already computed (idempotent resume), `on_row` sees each new row."""
-    rows: list[GridRow] = []
-    skip = set(skip or ())
+                supervisions, spec: TrainSpec, done=(), on_row=None) -> GridResult:
+    """Train every cell of the sweep that is not among the `done` rows.
+
+    The result's rows are `done` (say, a resumed grid.csv) followed by the new
+    rows in sweep order, and `selected` is the best of them all. `on_row`
+    gets those rows after each new one.
+    """
+    rows = list(done)
+    finished = {(r.look_back, r.harmonic, r.supervision) for r in rows}
     for look_back in look_backs:
         for harmonic in harmonics:
             for supervision in supervisions:
-                if (look_back, harmonic, supervision.value) in skip:
+                if (look_back, harmonic, supervision.value) in finished:
                     continue
-                row = run_combination(frame, profile, horizon, look_back,
-                                      harmonic, supervision, spec)
-                rows.append(row)
+                rows.append(run_combination(frame, profile, horizon, look_back,
+                                            harmonic, supervision, spec))
                 if on_row is not None:
-                    on_row(row)
-    return GridResult(rows, select_best(rows)) if rows else GridResult([], None)
+                    on_row(rows)
+    return GridResult(rows, select_best(rows))
 
 
 GRID_CSV_FIELDS = ["look_back", "harmonic", "supervision", "val_mse", "test_mse",
@@ -284,35 +289,23 @@ def write_history_csv(path, history) -> None:
             writer.writerow([h.epoch, f"{h.train_mse:.12g}", f"{h.val_mse:.12g}"])
 
 
-def _write_grid_rows(fh, rows, header: bool) -> None:
-    writer = csv.writer(fh)
-    if header:
-        writer.writerow(GRID_CSV_FIELDS)
-    for r in rows:
-        writer.writerow([r.look_back, r.harmonic, r.supervision,
-                         f"{r.val_mse:.12g}", f"{r.test_mse:.12g}",
-                         r.complex_entries, f"{r.epochs_ran:.12g}"])
-
-
 def write_grid_csv(path, rows) -> None:
     """A fresh grid.csv holding exactly `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_grid_rows(fh, rows, header=True)
-
-
-def append_grid_csv(path, rows) -> None:
-    path = Path(path)
-    header = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        _write_grid_rows(fh, rows, header)
+        writer = csv.writer(fh)
+        writer.writerow(GRID_CSV_FIELDS)
+        for r in rows:
+            writer.writerow([r.look_back, r.harmonic, r.supervision,
+                             f"{r.val_mse:.12g}", f"{r.test_mse:.12g}",
+                             r.complex_entries, f"{r.epochs_ran:.12g}"])
 
 
 def read_grid_csv(path) -> list[GridRow]:
     """Rows of a grid.csv log.
 
-    The log is appended one row per finished cell, so an interrupted run can
-    leave a final row without its line end; that torn row is dropped and its
-    cell reruns. Any other malformed row raises ParseError.
+    A final row without its line end, which an older version's row-by-row
+    append could leave, is dropped and its cell reruns. Any other malformed
+    row raises ParseError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freqcast import training
 from freqcast.cli import _train_spec, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
@@ -20,6 +21,7 @@ from freqcast.data import (
     write_labels_csv,
     write_series_csv,
 )
+from freqcast.errors import TrainingDivergedError
 from freqcast.model import (
     ModelConfig,
     Supervision,
@@ -190,15 +192,52 @@ def _bad_value_argv(tmp_path, command):
     ("batch_size", "0", "batch_size must be >= 1"),
     ("max_epochs", "0", "max_epochs must be >= 1"),
     ("patience", "0", "patience must be >= 1"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 @pytest.mark.parametrize("command", ["train", "grid", "detect", "detect-checkpoint"])
 def test_bad_training_value_exits_2_before_any_file_is_read(tmp_path, capsys, command,
                                                             key, value, message):
-    argv = _bad_value_argv(tmp_path, command) + ["--set", f"{key}={value}"]
+    override = [key, value] if key.startswith("--") else ["--set", f"{key}={value}"]
+    argv = _bad_value_argv(tmp_path, command) + override
     assert main(argv) == 2  # 3 if a missing file were opened first
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not [p for p in (tmp_path / "r").rglob("*") if p.is_file()]  # no config.json
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--set", "length=99"], "need at least 100 timesteps, got 99"),
+    (["--set", "channels=0"], "channels must be >= 1, got 0"),
+    (["--set", "rate=-0.1"], "rate must lie in [0, 1], got -0.1"),
+    (["--set", "rate=1.5"], "rate must lie in [0, 1], got 1.5"),
+    (["--set", "rate=nan"], "rate must lie in [0, 1], got nan"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_bad_synth_value_exits_2_without_writing(tmp_path, capsys, override, message):
+    out = tmp_path / "r"
+    assert main(["synth", "--out", str(out), *override]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("train", {"input_len": 16}),
+    ("grid", {"look_backs": "16,32", "harmonics": 1}),
+])
+def test_zero_horizon_exits_3_before_training(tmp_path, sine_csv, capsys, monkeypatch,
+                                              command, keys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with horizon 0")
+
+    monkeypatch.setattr("freqcast.training.train", no_training)
+    cfg = write_config(tmp_path, "c.cfg", data=sine_csv, period=24,
+                       timestamp_column="false", horizon=0, seeds="0", **keys)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "horizon must be >= 1, got 0" in err and len(err.strip().splitlines()) == 1
+    assert not list(out.rglob("grid.csv")) and not list(out.rglob("model.ckpt"))
 
 
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):
@@ -508,6 +547,71 @@ def test_grid_resume_drops_torn_final_row(tmp_path, sine_csv):
     assert grid.read_bytes() == full
 
 
+def test_interrupted_grid_keeps_every_finished_cell(tmp_path, sine_csv, monkeypatch):
+    run_cell = training.run_combination
+
+    def second_cell_diverges(*args):
+        if args[4] == 2:  # harmonic
+            raise TrainingDivergedError("non-finite loss in the second cell")
+        return run_cell(*args)
+
+    monkeypatch.setattr(training, "run_combination", second_cell_diverges)
+    cfg = _grid_cfg(tmp_path, sine_csv)
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 3
+    (run_dir,) = run_dirs(out)
+    (first,) = read_grid_csv(run_dir / "grid.csv")
+    assert first.harmonic == 1
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "grid.csv"]
+
+    monkeypatch.undo()
+    assert main(["grid", "--config", str(cfg), "--resume", str(run_dir)]) == 0
+    assert [r.harmonic for r in read_grid_csv(run_dir / "grid.csv")] == [1, 2]
+    assert read_grid_csv(run_dir / "grid.csv")[0] == first
+    assert sorted(p.name for p in run_dir.iterdir()) \
+        == ["config.json", "grid.csv", "selected.json"]
+
+
+def test_no_command_leaves_a_tmp_file(tmp_path, sine_csv):
+    out = tmp_path / "runs"
+    train_cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
+                             timestamp_column="false", input_len=16, horizon=8,
+                             max_epochs=1, seeds="0")
+    assert main(["train", "--config", str(train_cfg), "--out", str(out / "train")]) == 0
+    (train_dir,) = run_dirs(out / "train")
+    eval_cfg = write_config(tmp_path, "e.cfg", data=sine_csv, period=24,
+                            timestamp_column="false")
+    assert main(["eval", "--config", str(eval_cfg), "--out", str(out / "eval"),
+                 "--checkpoint", str(train_dir / "model.ckpt")]) == 0
+
+    grid_cfg = _grid_cfg(tmp_path, sine_csv)
+    assert main(["grid", "--config", str(grid_cfg), "--out", str(out / "grid")]) == 0
+    (grid_dir,) = run_dirs(out / "grid")
+    grid = grid_dir / "grid.csv"
+    grid.write_text("".join(grid.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["grid", "--config", str(grid_cfg), "--resume", str(grid_dir)]) == 0
+    assert len(read_grid_csv(grid)) == 2
+
+    assert main(["synth", "--out", str(out / "synth"), "--set", "length=600"]) == 0
+    (synth_dir,) = run_dirs(out / "synth")
+    detect_cfg = write_config(tmp_path, "d.cfg", data=synth_dir / "synth_values.csv",
+                              labels=synth_dir / "synth_labels.csv", train_rows=375,
+                              window=40, factor=4, max_epochs=1)
+    assert main(["detect", "--config", str(detect_cfg), "--out", str(out / "detect"),
+                 "--train-first", "--dump-scores"]) == 0
+
+    # one run directory per command, holding its run files and no .tmp
+    files = {run_dir.parent.name: sorted(p.name for p in run_dir.iterdir())
+             for run_dir in out.glob("*/*")}
+    assert files == {
+        "train": ["history.csv", "metrics.json", "model.ckpt"],
+        "eval": ["metrics.json"],
+        "grid": ["config.json", "grid.csv", "selected.json"],
+        "synth": ["synth_labels.csv", "synth_meta.json", "synth_values.csv"],
+        "detect": ["model.ckpt", "report.json", "scores.csv"],
+    }
+
+
 def _resume_finished_grid(tmp_path, sine_csv, replace=None):
     """argv resuming a finished grid run; `replace` maps a file name in its run
     directory to the bytes it is overwritten with."""
@@ -635,6 +739,10 @@ def _config_json_not_json(tmp_path, sine_csv):
     return _resume_finished_grid(tmp_path, sine_csv, {"config.json": b'{"horizon": 8'})
 
 
+def _config_json_not_object(tmp_path, sine_csv):
+    return _resume_finished_grid(tmp_path, sine_csv, {"config.json": b"[]"})
+
+
 @pytest.mark.parametrize("make_argv, code, message", [
     (_config_not_utf8, 2, "undecodable.cfg: 'utf-8' codec can't decode byte 0xff"),
     (_data_not_utf8, 3, "undecodable.csv: not UTF-8 text (invalid start byte)"),
@@ -642,6 +750,7 @@ def _config_json_not_json(tmp_path, sine_csv):
     (_grid_csv_not_utf8, 3, "grid.csv: not UTF-8 text (invalid start byte)"),
     (_config_json_not_utf8, 2, "config.json: 'utf-8' codec can't decode byte 0xff"),
     (_config_json_not_json, 2, "config.json: Expecting ',' delimiter"),
+    (_config_json_not_object, 2, "config.json: not a JSON object"),
     (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
     (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
     (_truncated_checkpoint, 3, "truncated"),

@@ -324,6 +324,22 @@ def test_synth_anomalies_disturb_the_tone():
     assert dirty.labels[changed].all()
 
 
+def test_synth_rejects_values_it_cannot_generate():
+    with pytest.raises(InvalidLengthError, match="at least 100 timesteps"):
+        synth_anomaly(length=99)
+    for kwargs, message in [
+        ({"channels": 0}, "channels must be >= 1"),
+        ({"rate": -0.01}, "rate must lie in"),
+        ({"rate": 1.5}, "rate must lie in"),
+        ({"rate": float("nan")}, "rate must lie in"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            synth_anomaly(length=200, **kwargs)
+    series, split = synth_anomaly(length=200, rate=1.0)  # both ends of rate are valid
+    assert series.labels[split:].any() and not series.labels[:split].any()
+
+
 def test_synth_csv_roundtrip(tmp_path):
     series, _ = synth_anomaly(seed=11, channels=2, length=400)
     vpath = tmp_path / "synth_values.csv"

@@ -29,7 +29,7 @@ from freqcast.training import (
     restored_epoch,
     select_best,
     train,
-    append_grid_csv,
+    write_grid_csv,
 )
 
 
@@ -298,9 +298,42 @@ def test_grid_skip_resumes():
                        [Supervision.BACKCAST_AND_FORECAST], spec)
     partial = grid_search(frame, TINY_PROFILE, 8, [16, 32], [1],
                           [Supervision.BACKCAST_AND_FORECAST], spec,
-                          skip={(16, 1, "backcast+forecast")})
-    assert [r.look_back for r in partial.rows] == [32]
-    assert partial.rows[0] == full.rows[1]
+                          done=full.rows[:1])
+    assert partial.rows == full.rows
+
+
+def test_grid_selects_over_done_rows_too():
+    frame = _tiny_frame()
+    spec = TrainSpec(max_epochs=1, patience=1, seeds_for_reporting=(0,))
+    # a finished cell outside this sweep that no trained cell can beat
+    done = GridRow(720, 2, "forecast", 0.0, 0.0, 1, 1.0)
+    seen = []
+    result = grid_search(frame, TINY_PROFILE, 8, [16, 32], [1],
+                         [Supervision.BACKCAST_AND_FORECAST], spec, done=[done],
+                         on_row=lambda rows: seen.append(list(rows)))
+    assert result.selected == done
+    assert result.rows[0] == done and len(result.rows) == 3
+    assert seen == [result.rows[:2], result.rows]  # every row, after each new cell
+
+
+def test_grid_with_every_cell_done_trains_nothing(monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a finished cell was trained again")
+
+    monkeypatch.setattr(training, "run_combination", no_training)
+    done = [GridRow(16, 1, "backcast+forecast", 0.3, 0.4, 12, 2.0),
+            GridRow(32, 1, "backcast+forecast", 0.2, 0.5, 20, 2.0)]
+    result = grid_search(_tiny_frame(), TINY_PROFILE, 8, [16, 32], [1],
+                         [Supervision.BACKCAST_AND_FORECAST], TrainSpec(), done=done,
+                         on_row=no_training)
+    assert result.rows == done and result.selected == done[1]
+
+
+def test_train_spec_rejects_negative_seeds():
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
+        TrainSpec(seed=-1)
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -3"):
+        TrainSpec(seeds_for_reporting=(0, -3))
 
 
 def test_grid_row_reports_restored_epoch_val(monkeypatch):
@@ -329,6 +362,5 @@ def test_grid_csv_roundtrip(tmp_path):
     rows = [GridRow(90, 2, "forecast", 0.51, 0.62, 703, 7.0),
             GridRow(720, 6, "backcast+forecast", 0.41, 0.45, 43734, 11.0)]
     path = tmp_path / "grid.csv"
-    append_grid_csv(path, rows[:1])
-    append_grid_csv(path, rows[1:])
+    write_grid_csv(path, rows)
     assert read_grid_csv(path) == rows
