@@ -42,6 +42,7 @@ def reconstruction_windows(rows: np.ndarray, window: int, factor: int) -> ArrayW
 
     Both are read-only views of `rows`.
     """
+    ModelConfig.for_reconstruction(window, factor, 1)  # refuses a geometry no model takes
     view = sliding_windows(rows, window)
     return ArrayWindows(view[:, ::factor], view)
 
@@ -56,8 +57,7 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     """
     series = np.asarray(series, dtype=np.float64)
     view = sliding_windows(series, window)
-    if factor < 1 or window % factor or cfg.input_len != window // factor \
-            or cfg.output_len != window:
+    if cfg.input_len * factor != window or cfg.output_len != window:
         raise InvalidArgumentError(
             f"model maps {cfg.input_len} -> {cfg.output_len}, but scoring asks "
             f"window {window} at factor {factor}"

@@ -197,7 +197,7 @@ def resolve_data_path(path_text: str) -> Path:
 
 
 def dataset_profile(cfg: dict) -> dat.DatasetProfile:
-    name = cfg.get("profile")
+    name, period = cfg["profile"], cfg["period"]
     if name:
         try:
             profile = dat.PROFILES[name.lower()]
@@ -205,12 +205,17 @@ def dataset_profile(cfg: dict) -> dat.DatasetProfile:
             raise ConfigError(
                 f"unknown profile {name!r}; known: {', '.join(sorted(dat.PROFILES))}"
             ) from None
-        if cfg.get("period"):
-            profile = dat.DatasetProfile(profile.name, cfg["period"], profile.split_rule)
-        return profile
-    if not cfg.get("period"):
+        if period is None:
+            return profile
+        name, rule = profile.name, profile.split_rule
+    elif period is None:
         raise ConfigError("either 'profile' or 'period' must be set")
-    return dat.DatasetProfile("custom", cfg["period"], dat.SplitRule.RATIO_70_10_20)
+    else:
+        name, rule = "custom", dat.SplitRule.RATIO_70_10_20
+    try:
+        return dat.DatasetProfile(name, period, rule)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"key 'period': {exc}") from None
 
 
 # --- run directories and atomic writes --------------------------------------
@@ -251,24 +256,25 @@ def _train_spec(cfg: dict, seeds) -> trn.TrainSpec:
 
 # --- commands ----------------------------------------------------------------
 
-def _standardized_frame(cfg: dict, model_cfg: mdl.ModelConfig | None):
-    """(profile, frame) with the frame standardized by its train split.
+def _standardized_frame(cfg: dict, profile: dat.DatasetProfile,
+                        model_cfg: mdl.ModelConfig | None):
+    """The config's data, standardized by its train split under `profile`.
 
     A checkpoint's `model_cfg` (None when training) is checked against the
     frame before the split, so a mismatch is a config error even on a series
     too short to split.
     """
-    profile = dataset_profile(cfg)
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     if model_cfg is not None:
         _check_channels(model_cfg, frame)
     train_range, _, _ = dat.chrono_split(frame, profile)
-    return profile, dat.standardize(frame, train_range)[0]
+    return dat.standardize(frame, train_range)[0]
 
 
 def cmd_train(cfg: dict, run_dir: Path) -> None:
     spec = _train_spec(cfg, cfg["seeds"])
-    profile, frame = _standardized_frame(cfg, None)
+    profile = dataset_profile(cfg)
+    frame = _standardized_frame(cfg, profile, None)
     model_cfg, runs = trn.train_seeds(
         frame, profile, cfg["horizon"], cfg["input_len"], cfg["harmonic"],
         cfg["supervision"], spec,
@@ -293,18 +299,8 @@ def cmd_train(cfg: dict, run_dir: Path) -> None:
 
 
 def _config_echo(cfg: dict, model_cfg: mdl.ModelConfig) -> dict:
-    return {
-        "data": str(cfg["data"]),
-        "input_len": model_cfg.input_len,
-        "output_len": model_cfg.output_len,
-        "period": model_cfg.period,
-        "harmonic": model_cfg.harmonic,
-        "channels": model_cfg.channels,
-        "supervision": model_cfg.supervision.value,
-        "n_in": model_cfg.n_in,
-        "n_out": model_cfg.n_out,
-        "complex_entries": mdl.param_count(model_cfg)[0],
-    }
+    return {**asdict(model_cfg), "supervision": model_cfg.supervision.value,
+            "data": str(cfg["data"]), "complex_entries": mdl.param_count(model_cfg)[0]}
 
 
 def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
@@ -334,8 +330,9 @@ def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
 def cmd_grid(cfg: dict, run_dir: Path) -> None:
     """Sweep the grid into run_dir; rows already in its grid.csv (--resume) are kept."""
     spec = _train_spec(cfg, cfg["seeds"])
+    profile = dataset_profile(cfg)
     _pin_grid_config(cfg, run_dir)
-    profile, frame = _standardized_frame(cfg, None)
+    frame = _standardized_frame(cfg, profile, None)
     grid_path = run_dir / "grid.csv"
     done = trn.read_grid_csv(grid_path) if grid_path.exists() else []
 
@@ -365,8 +362,9 @@ def _check_channels(model_cfg: mdl.ModelConfig, frame: dat.SeriesFrame) -> None:
 
 
 def cmd_eval(cfg: dict, run_dir: Path) -> None:
+    profile = dataset_profile(cfg)
     model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
-    profile, frame = _standardized_frame(cfg, model_cfg)
+    frame = _standardized_frame(cfg, profile, model_cfg)
     _, val_w, test_w = dat.split_windows(
         frame, profile, model_cfg.input_len, model_cfg.horizon, model_cfg.supervision
     )
@@ -405,10 +403,10 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
                     f"config {key} {cfg[key]} disagrees with the checkpoint's {value}"
                 )
     window, factor = (shape[k] if cfg[k] is None else cfg[k] for k in ("window", "factor"))
-    if window < 1 or factor < 1:
-        raise ConfigError(f"window and factor must be >= 1, got {window}/{factor}")
-    if window % factor != 0:
-        raise ConfigError(f"factor {factor} does not divide window {window}")
+    try:
+        mdl.ModelConfig.for_reconstruction(window, factor, 1)
+    except (InvalidArgumentError, InvalidLengthError) as exc:
+        raise ConfigError(f"window {window}, factor {factor}: {exc}") from None
 
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     if cfg["label_column"]:
@@ -460,10 +458,7 @@ def cmd_synth(cfg: dict, run_dir: Path) -> None:
                   lambda p: dat.write_series_csv(p, series.values))
     _write_atomic(run_dir / "synth_labels.csv",
                   lambda p: dat.write_labels_csv(p, series.labels))
-    write_json(run_dir / "synth_meta.json", {
-        "length": cfg["length"], "channels": cfg["channels"], "rate": cfg["rate"],
-        "seed": cfg["seed"], "train_rows": split,
-    })
+    write_json(run_dir / "synth_meta.json", {**cfg, "train_rows": split})
     print(f"run dir: {run_dir}")
     print(f"wrote {cfg['length']} steps, train split at {split}")
 
@@ -527,6 +522,7 @@ def _gather_raw(args) -> dict[str, str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made = None  # the run directory this invocation created
     try:
         cfg = validate_config(args.command, _gather_raw(args))
         if getattr(args, "resume", None):  # grid only
@@ -534,15 +530,18 @@ def main(argv=None) -> int:
             if not run_dir.is_dir():
                 raise ConfigError(f"--resume directory {run_dir} does not exist")
         else:
-            run_dir = make_run_dir(args.out, args.command)
+            run_dir = made = make_run_dir(args.out, args.command)
         COMMANDS[args.command].run(cfg, run_dir)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FreqcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
+    finally:
+        if made is not None and not any(made.iterdir()):
+            made.rmdir()  # a run that wrote nothing leaves no directory
 
 
 if __name__ == "__main__":

@@ -173,9 +173,9 @@ def split_label_column(frame: SeriesFrame, column: str = "label") -> tuple[Serie
     labels = frame.values[:, idx]
     if not np.all((labels == 0) | (labels == 1)):
         raise InvalidValueError(f"column {column!r} contains values other than 0/1")
-    keep = [i for i in range(frame.channels) if i != idx]
-    names = [frame.channel_names[i] for i in keep]
-    return SeriesFrame(frame.values[:, keep], names), labels.astype(bool)
+    names = frame.channel_names[:idx] + frame.channel_names[idx + 1 :]
+    # a C-ordered copy, laid out like load_csv's, so the scores match a labels file's
+    return SeriesFrame(np.delete(frame.values, idx, axis=1), names), labels.astype(bool)
 
 
 def chrono_split(frame: SeriesFrame, profile: DatasetProfile):

@@ -96,6 +96,8 @@ class ModelConfig:
     @classmethod
     def for_reconstruction(cls, window, factor, channels):
         """Upsample a factor-downsampled window back to its original length."""
+        if factor < 1:
+            raise InvalidArgumentError(f"factor must be >= 1, got {factor}")
         if window % factor != 0:
             raise InvalidArgumentError(f"factor {factor} does not divide window {window}")
         return cls(window // factor, window, 1, 0, channels,

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import data as dat
 from .errors import InvalidArgumentError, ParseError, ShapeError, TrainingDivergedError
 from .model import (
     ComplexLinear,
@@ -221,12 +222,11 @@ def train_seeds(frame, profile, horizon: int, look_back: int, harmonic: int,
     the restored epoch, the test MSE/MAE of the kept layer and the number of
     epochs run.
     """
-    from .data import split_windows  # local import to avoid a module cycle
-
     cfg = ModelConfig.for_forecast(
         look_back, horizon, profile.period, harmonic, frame.channels, supervision
     )
-    train_w, val_w, test_w = split_windows(frame, profile, look_back, horizon, supervision)
+    # called through the module, so a wrapper of data.split_windows sees the call
+    train_w, val_w, test_w = dat.split_windows(frame, profile, look_back, horizon, supervision)
     runs = []
     for seed in spec.seeds_for_reporting:
         best, history = train(cfg, init_params(cfg, seed), train_w, val_w,
@@ -277,8 +277,7 @@ def grid_search(frame, profile, horizon: int, look_backs, harmonics,
     return GridResult(rows, select_best(rows))
 
 
-GRID_CSV_FIELDS = ["look_back", "harmonic", "supervision", "val_mse", "test_mse",
-                   "complex_entries", "epochs_ran"]
+GRID_CSV_FIELDS = [f.name for f in fields(GridRow)]
 
 
 def write_history_csv(path, history) -> None:
@@ -290,14 +289,12 @@ def write_history_csv(path, history) -> None:
 
 
 def write_grid_csv(path, rows) -> None:
-    """A fresh grid.csv holding exactly `rows`."""
+    """A fresh grid.csv holding exactly `rows`; each float is written as its
+    shortest exact repr, so `read_grid_csv` returns rows equal to `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([r.look_back, r.harmonic, r.supervision,
-                             f"{r.val_mse:.12g}", f"{r.test_mse:.12g}",
-                             r.complex_entries, f"{r.epochs_ran:.12g}"])
+        writer.writerows(astuple(r) for r in rows)
 
 
 def read_grid_csv(path) -> list[GridRow]:

@@ -37,6 +37,16 @@ def test_reconstruction_windows():
         reconstruction_windows(rows, 16, 4)
 
 
+@pytest.mark.parametrize("window, factor, error", [
+    (8, 0, InvalidArgumentError),   # was a bare "slice step cannot be zero"
+    (8, 3, InvalidArgumentError),   # was 3-row inputs no model takes
+    (6, 2, InvalidLengthError),
+])
+def test_reconstruction_windows_rejects_impossible_geometry(window, factor, error):
+    with pytest.raises(error):
+        reconstruction_windows(np.zeros((24, 1)), window, factor)
+
+
 def _identity_recon_model(window, factor, channels):
     """factor=1 reconstruction config whose layer is the identity."""
     cfg = ModelConfig.for_reconstruction(window, factor, channels)

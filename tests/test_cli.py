@@ -4,6 +4,7 @@ resume, schema validation, and exit codes."""
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,33 @@ def test_train_val_metrics_are_the_restored_layers(tmp_path, sine_csv):
     assert (entry["test_mse"], entry["test_mae"]) == evaluate(model_cfg, layer, test_w, 8)
 
 
+def test_harmonic_none_keeps_every_input_bin(tmp_path, sine_csv):
+    cfg = write_config(tmp_path, "train.cfg", data=sine_csv, period=24,
+                       timestamp_column="false", input_len=32, horizon=8,
+                       harmonic="none", max_epochs=1, seeds="0")
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    echo = json.loads((run_dir / "metrics.json").read_text())["config"]
+    assert (echo["harmonic"], echo["n_in"]) == (0, 16)
+    assert load_checkpoint(run_dir / "model.ckpt")[0].n_in == 16
+
+
+def test_relative_data_path_is_found_through_freqcast_data(tmp_path, sine_csv, monkeypatch):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cfg = write_config(tmp_path, "train.cfg", data=sine_csv.name, period=24,
+                       timestamp_column="false", input_len=32, horizon=8,
+                       max_epochs=1, seeds="0")
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]
+    assert main(argv) == 3  # not found from this working directory
+    monkeypatch.setenv("FREQCAST_DATA", str(sine_csv.parent))
+    assert main(argv) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    assert json.loads((run_dir / "metrics.json").read_text())["config"]["data"] == "sine.csv"
+
+
 def test_train_rejects_unknown_key(tmp_path, sine_csv, capsys):
     cfg = write_config(tmp_path, "bad.cfg", data=sine_csv, input_len=32,
                        horizon=8, period=24, lookback="banana")
@@ -177,6 +205,7 @@ def _bad_value_argv(tmp_path, command):
     keys, flags = {
         "train": ({"period": 24, "input_len": 16, "horizon": 8}, []),
         "grid": ({"period": 24, "horizon": 8, "harmonics": 1}, []),
+        "eval": ({"period": 24, "checkpoint": tmp_path / "missing.ckpt"}, []),
         "detect": ({"labels": missing, "train_rows": 100}, ["--train-first"]),
         "detect-checkpoint": ({"labels": missing, "train_rows": 100},
                               ["--checkpoint", str(tmp_path / "missing.ckpt")]),
@@ -203,6 +232,55 @@ def test_bad_training_value_exits_2_before_any_file_is_read(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not [p for p in (tmp_path / "r").rglob("*") if p.is_file()]  # no config.json
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["period=0"], "key 'period': period must be >= 1, got 0"),
+    (["period=-1"], "key 'period': period must be >= 1, got -1"),
+    (["profile=etth2", "period=0"], "key 'period': period must be >= 1, got 0"),
+    (["profile=etth2", "period=-1"], "key 'period': period must be >= 1, got -1"),
+    (["profile=nope"], "unknown profile 'nope'"),
+])
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+def test_bad_period_or_profile_exits_2_before_any_file_is_read(tmp_path, capsys, command,
+                                                               overrides, message):
+    argv = _bad_value_argv(tmp_path, command)
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2  # 3 if a missing file were opened first
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not list((tmp_path / "r").rglob("*"))  # no config.json, no run directory
+
+
+@pytest.mark.parametrize("window, factor, message", [
+    (6, 2, "input_len must be even and >= 2, got 3"),
+    (8, 0, "factor must be >= 1, got 0"),
+    (8, 3, "factor 3 does not divide window 8"),
+    (0, 4, "input_len must be even and >= 2, got 0"),
+])
+def test_impossible_window_factor_exits_2_before_any_file_is_read(tmp_path, capsys, window,
+                                                                  factor, message):
+    argv = _bad_value_argv(tmp_path, "detect") + ["--set", f"window={window}",
+                                                  "--set", f"factor={factor}"]
+    assert main(argv) == 2  # 3 if a missing file were opened first
+    err = capsys.readouterr().err
+    assert f"window {window}, factor {factor}: {message}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list((tmp_path / "r").rglob("*"))
+
+
+@pytest.mark.parametrize("command, override, code", [
+    ("synth", "channels=0", 2),
+    ("train", "learning_rate=0", 2),
+    ("train", "max_epochs=1", 3),  # the data file does not exist
+])
+def test_failed_run_leaves_no_directory(tmp_path, command, override, code):
+    out = tmp_path / "r"
+    argv = ["synth", "--out", str(out)] if command == "synth" \
+        else _bad_value_argv(tmp_path, command)
+    assert main(argv + ["--set", override]) == code
+    assert out.is_dir() and not list(out.iterdir())  # its run directory was made, then removed
 
 
 @pytest.mark.parametrize("override, message", [
@@ -296,6 +374,31 @@ def test_grid_runs_and_resumes(tmp_path, sine_csv):
     assert len(resumed) == 4
     assert {(r.look_back, r.harmonic) for r in resumed} \
         == {(r.look_back, r.harmonic) for r in rows}
+
+
+def test_resumed_grid_selects_the_same_bytes_as_a_fresh_one(tmp_path, sine_csv):
+    cfg = write_config(
+        tmp_path, "grid.cfg",
+        data=sine_csv, period=24, timestamp_column="false",
+        horizon=8, look_backs="16,32", harmonics="1,2",
+        supervisions="backcast+forecast", max_epochs=2, seeds="0",
+    )
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    fresh = (run_dir / "selected.json").read_bytes()
+    grid = run_dir / "grid.csv"
+    rows = read_grid_csv(grid)
+    selected = json.loads(fresh)
+    drop = next(i for i, r in enumerate(rows)
+                if (r.look_back, r.harmonic) != (selected["look_back"], selected["harmonic"]))
+    lines = grid.read_text().splitlines(keepends=True)
+    grid.write_text("".join(lines[: drop + 1] + lines[drop + 2 :]))
+    (run_dir / "selected.json").unlink()
+
+    assert main(["grid", "--config", str(cfg), "--resume", str(run_dir)]) == 0
+    assert (run_dir / "selected.json").read_bytes() == fresh
+    assert set(read_grid_csv(grid)) == set(rows)
 
 
 def test_eval_checkpoint(tmp_path, sine_csv):
@@ -743,6 +846,69 @@ def _config_json_not_object(tmp_path, sine_csv):
     return _resume_finished_grid(tmp_path, sine_csv, {"config.json": b"[]"})
 
 
+def _grid_csv_other_header(tmp_path, sine_csv):
+    return _resume_finished_grid(tmp_path, sine_csv, {"grid.csv": b"a,b\n"})
+
+
+def _resume_missing_directory(tmp_path, sine_csv):
+    return ["grid", "--config", str(_grid_cfg(tmp_path, sine_csv)),
+            "--resume", str(tmp_path / "nowhere")]
+
+
+def _config_line_without_equals(tmp_path, sine_csv):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text(f"data = {sine_csv}\njust words\n")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
+def _edited_checkpoint(tmp_path, sine_csv, edit):
+    """eval of a forecast checkpoint whose bytes `edit` rewrote."""
+    argv = _eval_argv(tmp_path, sine_csv, 2, period=24)
+    ckpt = Path(argv[-1])
+    ckpt.write_bytes(edit(ckpt.read_bytes()))
+    return argv
+
+
+def _checkpoint_unknown_supervision(tmp_path, sine_csv):
+    # header integer 5 (bytes 48-56) is the supervision code
+    return _edited_checkpoint(tmp_path, sine_csv,
+                              lambda raw: raw[:48] + struct.pack("<q", 7) + raw[56:])
+
+
+def _checkpoint_other_layer_dims(tmp_path, sine_csv):
+    # header integer 6 (bytes 56-64) is n_in
+    return _edited_checkpoint(tmp_path, sine_csv,
+                              lambda raw: raw[:56] + struct.pack("<q", 99) + raw[64:])
+
+
+def _checkpoint_extra_bytes(tmp_path, sine_csv):
+    return _edited_checkpoint(tmp_path, sine_csv, lambda raw: raw + bytes(16))
+
+
+def _label_column_holding_2(tmp_path, sine_csv):
+    flags = np.zeros((260, 1))
+    flags[200] = 2.0
+    labeled = tmp_path / "labeled.csv"
+    write_series_csv(labeled, np.hstack([load_csv(sine_csv, False).values, flags]),
+                     ["a", "b", "label"])
+    return _detect_argv(tmp_path, labeled, "--train-first", label_column="label")
+
+
+def _train_run(tmp_path, sine_csv):
+    cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
+                       timestamp_column="false", input_len=32, horizon=8)
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
+def _detect_run(tmp_path, sine_csv):
+    return _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "labels.csv")
+
+
+def _plus(make_argv, *extra):
+    """`make_argv` with the `extra` arguments appended."""
+    return lambda tmp_path, sine_csv: make_argv(tmp_path, sine_csv) + list(extra)
+
+
 @pytest.mark.parametrize("make_argv, code, message", [
     (_config_not_utf8, 2, "undecodable.cfg: 'utf-8' codec can't decode byte 0xff"),
     (_data_not_utf8, 3, "undecodable.csv: not UTF-8 text (invalid start byte)"),
@@ -759,6 +925,28 @@ def _config_json_not_object(tmp_path, sine_csv):
     (_eval_short_series, 3, "split needs 14400 rows, series has 40"),
     (_detect_checkpoint_and_train_first, 2, "'checkpoint' and 'train_first', got both"),
     (_detect_labels_and_label_column, 2, "'labels' and 'label_column', got both"),
+    (_grid_csv_other_header, 3, "grid.csv: header ['a', 'b'] is not ['look_back',"),
+    (_resume_missing_directory, 2, "nowhere does not exist"),
+    (_config_line_without_equals, 2, "bare.cfg:2: expected 'key = value', got 'just words'"),
+    (_checkpoint_unknown_supervision, 3, "forecast-2.ckpt: unknown supervision code 7"),
+    (_checkpoint_other_layer_dims, 3, "forecast-2.ckpt: stored layer dims 99x"),
+    (_checkpoint_extra_bytes, 3, "forecast-2.ckpt: expected "),
+    (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
+    pytest.param(_plus(_train_run, "--set", "max_epochs=x"), 2,
+                 "key 'max_epochs': expected an integer, got 'x'", id="max_epochs=x"),
+    pytest.param(_plus(_train_run, "--set", "learning_rate=abc"), 2,
+                 "key 'learning_rate': expected a number, got 'abc'", id="learning_rate=abc"),
+    pytest.param(_plus(_train_run, "--set", "harmonic=-1"), 2,
+                 "key 'harmonic': harmonic must be >= 0 or 'none', got '-1'", id="harmonic=-1"),
+    pytest.param(_plus(_train_run, "--set", "supervision=both"), 2,
+                 "key 'supervision': supervision must be one of: forecast, "
+                 "backcast+forecast; got 'both'", id="supervision=both"),
+    pytest.param(_plus(_train_run, "--set", "nokey"), 2,
+                 "--set expects KEY=VALUE, got 'nokey'", id="--set nokey"),
+    pytest.param(_plus(_detect_run, "--set", "dump_scores=maybe"), 2,
+                 "key 'dump_scores': expected true/false, got 'maybe'", id="dump_scores=maybe"),
+    pytest.param(_plus(_detect_run, "--set", "train_rows=260"), 2,
+                 "train_rows 260 outside the 260-row series", id="train_rows=260"),
 ])
 def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
     argv = make_argv(tmp_path, sine_csv)
@@ -766,3 +954,16 @@ def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, co
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_detect_label_column_matches_labels_file(tmp_path, sine_csv):
+    assert main(_detect_argv(tmp_path, sine_csv, "--train-first",
+                             labels=tmp_path / "labels.csv")) == 0
+    labeled = tmp_path / "labeled.csv"
+    labels = np.loadtxt(tmp_path / "labels.csv")[:, None]
+    write_series_csv(labeled, np.hstack([load_csv(sine_csv, False).values, labels]),
+                     ["a", "b", "label"])
+    assert main(_detect_argv(tmp_path, labeled, "--train-first", label_column="label")) == 0
+    from_file, from_column = run_dirs(tmp_path / "r")
+    assert (from_file / "report.json").read_bytes() \
+        == (from_column / "report.json").read_bytes()

@@ -234,14 +234,15 @@ def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
                                            supervision, factor, data):
     series = np.arange(rows * channels, dtype=float).reshape(rows, channels)
     span = input_len + horizon
+    recon = 2 * factor * max(1, input_len // 2)  # a window the factor downsamples to even
     forecast_only = supervision is Supervision.FORECAST_ONLY
     cases = [(
         lambda: WindowSet(series, input_len, horizon, supervision), span,
         lambda s: (series[s : s + input_len],
                    series[s + input_len * forecast_only : s + span]),
     ), (
-        lambda: reconstruction_windows(series, span, factor), span,
-        lambda s: (series[s : s + span : factor], series[s : s + span]),
+        lambda: reconstruction_windows(series, recon, factor), recon,
+        lambda s: (series[s : s + recon : factor], series[s : s + recon]),
     )]
     for build, length, brute in cases:
         if rows < length:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcast.errors import InvalidArgumentError, InvalidValueError, ShapeError
+from freqcast.errors import InvalidArgumentError, InvalidLengthError, InvalidValueError, ShapeError
 from freqcast.model import (
     ComplexLinear,
     ModelConfig,
@@ -445,6 +445,17 @@ def check_table(table, period):
                 continue
             cfg = ModelConfig.for_forecast(lookback, horizon, period, harmonic, 1)
             assert param_count(cfg)[0] == want, (lookback, horizon, period, harmonic)
+
+
+@pytest.mark.parametrize("window, factor, error", [
+    (8, 0, InvalidArgumentError),   # was a ZeroDivisionError
+    (8, -2, InvalidArgumentError),
+    (8, 3, InvalidArgumentError),   # 3 does not divide 8
+    (6, 2, InvalidLengthError),     # downsampled length 3 is odd
+])
+def test_for_reconstruction_rejects_impossible_geometry(window, factor, error):
+    with pytest.raises(error):
+        ModelConfig.for_reconstruction(window, factor, 1)
 
 
 def test_param_count_hourly_table():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import training
 from freqcast.data import ArrayWindows, DatasetProfile, SeriesFrame, SplitRule
@@ -362,5 +364,20 @@ def test_grid_csv_roundtrip(tmp_path):
     rows = [GridRow(90, 2, "forecast", 0.51, 0.62, 703, 7.0),
             GridRow(720, 6, "backcast+forecast", 0.41, 0.45, 43734, 11.0)]
     path = tmp_path / "grid.csv"
+    write_grid_csv(path, rows)
+    assert read_grid_csv(path) == rows
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.builds(
+    GridRow, st.integers(1, 10**6), st.integers(0, 10**3),
+    st.sampled_from([s.value for s in Supervision]), FINITE, FINITE,
+    st.integers(1, 10**9), FINITE,
+), max_size=4))
+def test_grid_csv_roundtrip_keeps_every_float(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
     write_grid_csv(path, rows)
     assert read_grid_csv(path) == rows
