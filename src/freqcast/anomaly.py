@@ -57,7 +57,7 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     """
     series = np.asarray(series, dtype=np.float64)
     view = sliding_windows(series, window)
-    if cfg.input_len * factor != window or cfg.output_len != window:
+    if not cfg.reconstructs(window, factor):
         raise InvalidArgumentError(
             f"model maps {cfg.input_len} -> {cfg.output_len}, but scoring asks "
             f"window {window} at factor {factor}"

@@ -64,9 +64,13 @@ def _bool(text):
 
 def _list_of(parse):
     def parse_list(text):
-        items = [parse(part) for part in text.split(",") if part.strip()]
+        parts = [part for part in text.split(",") if part.strip()]
+        items = [parse(part) for part in parts]
         if not items:
             raise ConfigError(f"expected a comma-separated list, got {text!r}")
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigError(f"{parts[i].strip()!r} repeats an earlier value in {text!r}")
         return items
     return parse_list
 
@@ -152,6 +156,7 @@ SCHEMAS = {
 
 def read_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -163,7 +168,11 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line "
+                              f"{first_line[key]}")
+        raw[key], first_line[key] = value.strip(), lineno
     return raw
 
 
@@ -397,12 +406,11 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         model_cfg, layer = mdl.load_checkpoint(resolve_data_path(cfg["checkpoint"]))
         shape = {"window": model_cfg.output_len,
                  "factor": model_cfg.output_len // model_cfg.input_len}
-        for key, value in shape.items():
-            if cfg[key] is not None and cfg[key] != value:
-                raise ConfigError(
-                    f"config {key} {cfg[key]} disagrees with the checkpoint's {value}"
-                )
     window, factor = (shape[k] if cfg[k] is None else cfg[k] for k in ("window", "factor"))
+    if model_cfg is not None and not model_cfg.reconstructs(window, factor):
+        raise ConfigError(f"window {window}, factor {factor} disagrees with the checkpoint "
+                          f"{cfg['checkpoint']} ({model_cfg.input_len} -> "
+                          f"{model_cfg.output_len} rows)")
     try:
         mdl.ModelConfig.for_reconstruction(window, factor, 1)
     except (InvalidArgumentError, InvalidLengthError) as exc:
@@ -417,6 +425,11 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     split = cfg["train_rows"]
     if not 0 < split < frame.length:
         raise ConfigError(f"train_rows {split} outside the {frame.length}-row series")
+    if cfg["train_first"] and split <= window:  # one train and one validation window
+        raise ConfigError(f"train_rows {split} must exceed window {window} to train")
+    if frame.length - split < window:
+        raise ConfigError(f"the {frame.length - split} rows after train_rows {split} "
+                          f"are fewer than window {window}")
     frame_std, _ = dat.standardize(frame, (0, split))
     values = frame_std.values
 

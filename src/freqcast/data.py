@@ -1,8 +1,8 @@
 """Dataset ingestion, chronological splits, windowing, and the synthetic
 anomaly generator.
 
-Windows are strided views of the series rows (`sliding_windows`); `batch`
-copies only the rows it returns.
+Windows are strided views of the series rows (`sliding_windows`); a `batch`
+slice is a view too, and an index array copies only the rows it returns.
 
 Splits follow the long-horizon benchmark protocol: the hourly ETT files use
 fixed 8640/2880/2880 row splits, the 15-minute ETT files 34560/11520/11520,
@@ -234,9 +234,8 @@ def sliding_windows(rows: np.ndarray, length: int) -> np.ndarray:
 class ArrayWindows:
     """(input, target) window pairs, shaped (n, rows, C) each.
 
-    Windows cut from a series are strided views of it (see `sliding_windows`);
-    `batch` copies only the rows it returns, so memory grows with series
-    length, not with series length times window.
+    Windows cut from a series are strided views of it (see `sliding_windows`),
+    so memory grows with series length, not with series length times window.
     """
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray):
@@ -249,14 +248,10 @@ class ArrayWindows:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def batch(self, indices):
-        idx = np.asarray(indices, dtype=np.intp)
-        return self.inputs[idx], self.targets[idx]
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self.inputs[i], self.targets[i]
+    def batch(self, index):
+        """(inputs, targets) at `index` under NumPy indexing: a slice returns
+        views of the windows, an index array a copy of just those windows."""
+        return self.inputs[index], self.targets[index]
 
 
 class WindowSet(ArrayWindows):

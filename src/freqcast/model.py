@@ -78,6 +78,8 @@ class ModelConfig:
             raise InvalidArgumentError(f"harmonic must be >= 0, got {self.harmonic}")
         if self.channels < 1:
             raise InvalidArgumentError(f"channels must be >= 1, got {self.channels}")
+        if self.supervision is Supervision.FORECAST_ONLY and self.horizon == 0:
+            raise InvalidArgumentError("forecast-only supervision needs a positive horizon")
         if self.harmonic == 0:
             k = self.input_len // 2
         else:
@@ -106,6 +108,15 @@ class ModelConfig:
     @property
     def horizon(self) -> int:
         return self.output_len - self.input_len
+
+    @property
+    def target_rows(self) -> int:
+        """Trailing output rows the loss covers: the horizon if forecast-only, else all."""
+        return self.horizon if self.supervision is Supervision.FORECAST_ONLY else self.output_len
+
+    def reconstructs(self, window: int, factor: int) -> bool:
+        """Whether the layer maps every `factor`-th row of a `window`-row window back to it."""
+        return self.input_len * factor == window == self.output_len
 
 
 @dataclass
@@ -278,21 +289,6 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
     return y[0] if squeeze else y
 
 
-def _supervised_rows(cfg: ModelConfig, target_rows: int) -> int:
-    if cfg.supervision is Supervision.BACKCAST_AND_FORECAST:
-        expected = cfg.output_len
-    else:
-        expected = cfg.horizon
-        if expected == 0:
-            raise InvalidArgumentError("forecast-only supervision needs a positive horizon")
-    if target_rows != expected:
-        raise ShapeError(
-            f"{cfg.supervision.value} supervision expects {expected} target rows, "
-            f"got {target_rows}"
-        )
-    return expected
-
-
 def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     """MSE over the supervised region plus exact gradients (dW, db).
 
@@ -301,15 +297,10 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     """
     _check_layer(cfg, layer)
     x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    t3 = np.asarray(target, dtype=np.float64)
-    if t3.ndim == 2:
-        t3 = t3[None]
-    rows = _supervised_rows(cfg, t3.shape[1])
-    if t3.shape != (x3.shape[0], rows, x3.shape[2]):
-        raise ShapeError(
-            f"target shape {np.asarray(target).shape} does not match batch "
-            f"{x3.shape[0]} x {rows} rows x {x3.shape[2]} channels"
-        )
+    rows = cfg.target_rows
+    t3, _ = _as_batch(target, rows, cfg.channels, f"{cfg.supervision.value} target")
+    if t3.shape[0] != x3.shape[0]:
+        raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
 
     batch, _, channels = x3.shape
     y_rows, kept, std = _forward_rows(x3, cfg, layer)

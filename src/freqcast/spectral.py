@@ -39,7 +39,8 @@ class Spectrum:
     source_len: int
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
+        # a private copy, so freezing it leaves the caller's array writable
+        bins = np.array(self.bins, dtype=np.complex128)
         bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
         n = self.source_len

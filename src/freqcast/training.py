@@ -36,6 +36,7 @@ MIN_RELATIVE_IMPROVEMENT = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_BATCH = 64  # windows per `evaluate` batch, each a slice, so a view of the windows
 
 
 @dataclass(frozen=True)
@@ -110,27 +111,25 @@ def restored_epoch(history) -> EpochStats:
 
 
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
-             eval_steps: int | None = None, batch_size: int = 64):
+             eval_steps: int | None = None):
     """(MSE, MAE) over the trailing eval_steps rows of prediction and target.
 
     eval_steps=None compares against the full target region, which is the
     forecast horizon for forecast-only windows and the whole output window
     otherwise (the reconstruction case). Only the compared rows are
-    predicted, one training-sized batch at a time.
+    predicted, EVAL_BATCH windows at a time.
     """
     if len(windows) == 0:
         raise InvalidArgumentError("cannot evaluate on an empty window set")
+    rows = windows.targets.shape[1]
+    k = rows if eval_steps is None else eval_steps
+    if not 1 <= k <= rows:
+        raise InvalidArgumentError(f"eval_steps={eval_steps} outside the {rows}-row target")
     sq = 0.0
     ab = 0.0
     count = 0
-    for lo in range(0, len(windows), batch_size):
-        idx = range(lo, min(lo + batch_size, len(windows)))
-        x, t = windows.batch(idx)
-        k = t.shape[1] if eval_steps is None else eval_steps
-        if k < 1 or k > t.shape[1]:
-            raise InvalidArgumentError(
-                f"eval_steps={eval_steps} outside the {t.shape[1]}-row target"
-            )
+    for lo in range(0, len(windows), EVAL_BATCH):
+        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
         diff = model_forward(x, cfg, layer, last=k) - t[:, -k:, :]
         sq += float(np.sum(diff**2))
         ab += float(np.sum(np.abs(diff)))

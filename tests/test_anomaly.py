@@ -30,7 +30,7 @@ def test_reconstruction_windows():
     # both sides are read-only views of the rows, not a T x window copy
     assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
     assert not ws.targets.flags.writeable
-    x0, t0 = ws[0]
+    x0, t0 = ws.batch(0)
     assert np.array_equal(t0, rows[:8])
     assert np.array_equal(x0, rows[:8:4])
     with pytest.raises(InvalidLengthError):

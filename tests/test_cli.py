@@ -584,6 +584,45 @@ def test_detect_window_factor_from_checkpoint(tmp_path, synth_stream, capsys, ke
         assert "disagrees with the checkpoint" in capsys.readouterr().err
 
 
+def test_detect_forecast_checkpoint_exits_2_before_reading_data(tmp_path, capsys):
+    model_cfg = ModelConfig.for_forecast(32, 8, 24, 1, 1)
+    ckpt = tmp_path / "forecast.ckpt"
+    save_checkpoint(ckpt, model_cfg, init_params(model_cfg, 0))
+    missing = tmp_path / "missing.csv"
+    cfg = write_config(tmp_path, "d.cfg", data=missing, labels=missing, train_rows=100)
+    out = tmp_path / "r"
+    assert main(["detect", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(ckpt)]) == 2  # 3 if a missing file were opened first
+    err = capsys.readouterr().err
+    assert f"window 40, factor 1 disagrees with the checkpoint {ckpt}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(out.rglob("*"))
+
+
+@pytest.mark.parametrize("train_rows, code, message", [
+    (40, 2, "train_rows 40 must exceed window 40"),  # no window left to validate on
+    (41, 0, None),  # one train and one validation window
+    (220, 0, None),  # the 40 scored rows are one window
+    (221, 2, "the 39 rows after train_rows 221 are fewer than window 40"),
+])
+def test_detect_rows_shorter_than_a_window_exit_2_before_training(
+        tmp_path, sine_csv, capsys, monkeypatch, train_rows, code, message):
+    trained = []
+    train = training.train
+    monkeypatch.setattr(training, "train",
+                        lambda *args, **kwargs: trained.append(1) or train(*args, **kwargs))
+    labels = np.zeros(260, dtype=int)
+    labels[240:245] = 1  # inside every scored range above
+    write_labels_csv(tmp_path / "late.csv", labels)
+    argv = _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "late.csv")
+    assert main(argv + ["--set", f"train_rows={train_rows}"]) == code
+    assert bool(trained) == (code == 0)
+    if message is not None:
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not list((tmp_path / "r").rglob("*"))
+
+
 def test_detect_checkpoint_channel_mismatch(tmp_path, synth_stream, capsys):
     values, labels = synth_stream
     ckpt = _recon_checkpoint(tmp_path, 80, 4, 3)
@@ -904,6 +943,18 @@ def _detect_run(tmp_path, sine_csv):
     return _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "labels.csv")
 
 
+def _missing_data(command):
+    """`_bad_value_argv(command)`: a run whose data files do not exist."""
+    return lambda tmp_path, sine_csv: _bad_value_argv(tmp_path, command)
+
+
+def _config_key_set_twice(tmp_path, sine_csv):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"data = {tmp_path / 'missing.csv'}\nperiod = 24\ninput_len = 16\n"
+                   "horizon = 8\nhorizon = 4\n")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
 def _plus(make_argv, *extra):
     """`make_argv` with the `extra` arguments appended."""
     return lambda tmp_path, sine_csv: make_argv(tmp_path, sine_csv) + list(extra)
@@ -947,6 +998,19 @@ def _plus(make_argv, *extra):
                  "key 'dump_scores': expected true/false, got 'maybe'", id="dump_scores=maybe"),
     pytest.param(_plus(_detect_run, "--set", "train_rows=260"), 2,
                  "train_rows 260 outside the 260-row series", id="train_rows=260"),
+    # a repeated value or key exits before the (missing) data file is opened
+    (_config_key_set_twice, 2, "twice.cfg:5: key 'horizon' is already set on line 4"),
+    pytest.param(_plus(_missing_data("grid"), "--set", "look_backs=16,16"), 2,
+                 "key 'look_backs': '16' repeats an earlier value in '16,16'",
+                 id="look_backs=16,16"),
+    pytest.param(_plus(_missing_data("grid"), "--set", "harmonics=none,0"), 2,
+                 "key 'harmonics': '0' repeats an earlier value in 'none,0'",
+                 id="harmonics=none,0"),
+    pytest.param(_plus(_missing_data("grid"), "--set", "supervisions=forecast, forecast"), 2,
+                 "key 'supervisions': 'forecast' repeats an earlier value",
+                 id="supervisions=forecast,forecast"),
+    pytest.param(_plus(_missing_data("train"), "--seed", "0,0"), 2,
+                 "key 'seeds': '0' repeats an earlier value in '0,0'", id="--seed 0,0"),
 ])
 def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
     argv = make_argv(tmp_path, sine_csv)
@@ -954,6 +1018,7 @@ def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, co
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+    assert not list((tmp_path / "r").rglob("*"))  # a failed run leaves no run directory
 
 
 def test_detect_label_column_matches_labels_file(tmp_path, sine_csv):

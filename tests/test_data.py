@@ -171,13 +171,13 @@ def test_make_windows_counts_and_contents():
     # inputs and targets are read-only views of the rows, not copies
     assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
     assert not ws.inputs.flags.writeable
-    x0, t0 = ws[0]
+    x0, t0 = ws.batch(0)
     assert np.array_equal(x0, rows[0:4])
     assert np.array_equal(t0, rows[4:6])
 
     both = WindowSet(rows, 4, 2, Supervision.BACKCAST_AND_FORECAST)
     assert np.shares_memory(both.targets, rows)
-    x1, t1 = both[3]
+    x1, t1 = both.batch(3)
     assert np.array_equal(np.vstack([x1, t1[4:]]), rows[3:9])
     assert np.array_equal(t1, rows[3:9])
 
@@ -192,7 +192,7 @@ def test_windows_are_exhaustive_stride_one():
     ws = WindowSet(rows, 4, 3, Supervision.FORECAST_ONLY)
     rebuilt = np.full_like(rows, np.nan)
     for i in range(len(ws)):
-        x, t = ws[i]
+        x, t = ws.batch(i)
         rebuilt[i : i + 4] = x
         rebuilt[i + 4 : i + 7] = t
     assert np.array_equal(rebuilt, rows)
@@ -203,9 +203,13 @@ def test_window_batch_gather():
     ws = WindowSet(rows, 6, 2, Supervision.BACKCAST_AND_FORECAST)
     x, t = ws.batch([0, 5, 9])
     assert x.shape == (3, 6, 2) and t.shape == (3, 8, 2)
-    # a batch is a private copy of only the rows it returns
+    # an index array gives a private copy of only the rows it returns
     assert np.shares_memory(ws.inputs, rows) and not np.shares_memory(x, rows)
     assert np.array_equal(x[1], rows[5:11])
+    # a slice gives views of the series rows
+    x, t = ws.batch(slice(2, 5))
+    assert np.shares_memory(x, rows) and np.shares_memory(t, rows)
+    assert np.array_equal(t[1], rows[3:11])
 
 
 def test_split_windows_supervision_regions_disjoint():
@@ -213,7 +217,7 @@ def test_split_windows_supervision_regions_disjoint():
     profile = DatasetProfile("toy", 24, SplitRule.RATIO_70_10_20)
     train_w, val_w, test_w = split_windows(frame, profile, 8, 4, Supervision.FORECAST_ONLY)
     # no train target row reaches past the train/val boundary at row 70
-    _, last_target = train_w[len(train_w) - 1]
+    _, last_target = train_w.batch(len(train_w) - 1)
     assert last_target[-1, 0] == frame.values[69, 0]
     # the first val window reaches back into train rows by input_len-1
     x0, _ = val_w.batch([0])
@@ -253,7 +257,7 @@ def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
         count = rows - length + 1
         assert len(ws) == count
         for i in range(count):
-            x, t = ws[i]
+            x, t = ws.batch(i)
             bx, bt = brute(i)
             assert np.array_equal(x, bx) and np.array_equal(t, bt)
         idx = data.draw(st.lists(st.integers(0, count - 1), max_size=6))
@@ -262,9 +266,13 @@ def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
         for k, i in enumerate(idx):
             bx, bt = brute(i)
             assert np.array_equal(x[k], bx) and np.array_equal(t[k], bt)
-        for bad in (-1, -count, count, count + 3):
+        # NumPy indexing: -1 is the last window, and past either end raises
+        x, t = ws.batch(-1)
+        bx, bt = brute(count - 1)
+        assert np.array_equal(x, bx) and np.array_equal(t, bt)
+        for bad in (-count - 1, count, count + 3):
             with pytest.raises(IndexError):
-                ws[bad]
+                ws.batch(bad)
 
 
 def test_array_windows_interface():

@@ -325,6 +325,13 @@ def test_gradient_target_shape_errors():
     x = np.zeros((2, 16, 1)) + 1.0
     with pytest.raises(ShapeError):
         model_backward(x, np.zeros((2, 8, 1)), cfg, layer)  # B+F wants 24 rows
+    with pytest.raises(ShapeError):
+        model_backward(x, np.zeros((3, 24, 1)), cfg, layer)  # 3 targets for 2 inputs
+
+
+def test_forecast_only_supervision_needs_a_horizon():
+    with pytest.raises(InvalidArgumentError, match="positive horizon"):
+        ModelConfig(16, 16, 4, 0, 1, Supervision.FORECAST_ONLY)
 
 
 # --- init and parameter accounting -------------------------------------------------

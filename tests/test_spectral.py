@@ -87,6 +87,14 @@ def test_spectrum_validates_bin_count():
         Spectrum([1, 2, 3], 5)
 
 
+def test_spectrum_freezes_its_own_copy_of_the_bins():
+    bins = np.array([4, 0, 0], dtype=np.complex128)
+    s = Spectrum(bins, 4)
+    assert bins.flags.writeable and not s.bins.flags.writeable
+    bins[0] = 8
+    assert s.bins[0] == 4
+
+
 def test_real_signal_dc_and_nyquist_are_real():
     rng = np.random.default_rng(11)
     s = rfft(rng.normal(size=32))

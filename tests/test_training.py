@@ -171,16 +171,26 @@ def test_train_rejects_non_finite_val(monkeypatch):
 
 
 @pytest.mark.parametrize("eval_steps", [8, 3, None])
-def test_evaluate_independent_of_batch_size(eval_steps):
+def test_evaluate_independent_of_batch_size(monkeypatch, eval_steps):
     rng = np.random.default_rng(12)
     rows = np.cumsum(rng.normal(size=(400, 3)), axis=0)
     windows = _window_pair(rows, 48, 8, 300)
     cfg = ModelConfig.for_forecast(48, 8, 12, 2, 3)
     layer = init_params(cfg, 4)
-    small = evaluate(cfg, layer, windows, eval_steps, batch_size=64)
-    large = evaluate(cfg, layer, windows, eval_steps, batch_size=256)
+    monkeypatch.setattr(training, "EVAL_BATCH", 64)
+    small = evaluate(cfg, layer, windows, eval_steps)
+    monkeypatch.setattr(training, "EVAL_BATCH", 256)
+    large = evaluate(cfg, layer, windows, eval_steps)
     for a, b in zip(small, large):
         assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("eval_steps", [0, 25])
+def test_evaluate_rejects_eval_steps_outside_the_target(eval_steps):
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
+    windows = _window_pair(np.arange(60.0)[:, None], 16, 8, 30)
+    with pytest.raises(InvalidArgumentError, match="outside the 24-row target"):
+        evaluate(cfg, init_params(cfg, 0), windows, eval_steps)
 
 
 def test_train_loss_nonincreasing_at_tiny_lr():
