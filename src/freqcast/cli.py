@@ -506,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", default="runs", help="parent directory for run outputs")
-        p.add_argument("--seed", help="seed override: N or N,N,...")
+        p.add_argument("--seed", action="append", default=[],
+                       help="seed override: N or N,N,...")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key")
         if name == "grid":
@@ -519,13 +520,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _gather_raw(args) -> dict[str, str]:
     raw = read_config_file(args.config) if args.config else {}
+    overrides: dict[str, str] = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-    if args.seed is not None:
-        raw["seeds" if "seeds" in SCHEMAS[args.command] else "seed"] = args.seed
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"--set {key} is given twice: {overrides[key]!r}, then "
+                              f"{value.strip()!r}")
+        overrides[key] = value.strip()
+    raw.update(overrides)  # --set overrides the config file
+    if len(args.seed) > 1:
+        raise ConfigError(f"--seed is given {len(args.seed)} times; give one list, "
+                          f"e.g. --seed {','.join(args.seed)}")
+    if args.seed:
+        raw["seeds" if "seeds" in SCHEMAS[args.command] else "seed"] = args.seed[0]
     for key in COMMANDS[args.command].flags:
         value = getattr(args, key)
         if value:

@@ -7,16 +7,35 @@ complex-valued linear layer (weights shared across channels):
       -> zero-pad to output_len/2 bins, DC forced to 0  ->  irfft  -> denorm
 
 Everything around the layer is linear or instance-affine, so the exact
-gradient of the time-domain MSE with respect to W and b is an adjoint chain:
-scale the residual by the instance std, push it through the rfft adjoint
-(1/N factor from the inverse convention, conjugate-symmetric doubling on
-every bin except DC and Nyquist), slice the bins the layer produced, then
+gradient of the MSE with respect to W and b is an adjoint chain ending in
 
     dW = conj(X).T @ G        db = sum_batch G
 
+where row r of G is the loss's gradient with respect to the layer output
+bins of instance channel r. With n = output_len, m the number of supervised
+values and std, mean the instance statistics, the chain to G depends on the
+rows the loss covers (`ModelConfig.target_rows`):
+
+* the whole output window (backcast+forecast, and every reconstruction
+  model): the residual is formed in frequency. R = rfft(y - t) is
+  std * [0, X W + b, 0...] + n * mean at DC - rfft(t), with the Nyquist
+  bin's imaginary part dropped first because irfft drops it. Parseval gives
+  the MSE, (|R_0|^2 + 2 sum_k |R_k|^2 + |R_n/2|^2) / (n m), and
+  G = 4 / (m n) * std * R over the layer's bins. No inverse FFT is needed.
+* the horizon rows only (forecast-only): a residual on the tail rows is not
+  diagonal in frequency, so the forward pass runs to the time domain. The
+  residual, zero on the backcast rows and scaled by 4 / (m n) * std, goes
+  through the rfft (the adjoint of irfft up to its 1/n factor and its
+  doubling of every bin except DC and Nyquist), and G is the slice of bins
+  the layer produced.
+
+In both, G's Nyquist entry (when the layer reaches it) is halved and made
+real, since that bin enters the output once and only through its real part.
+
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
-correctness is pinned by the finite-difference checks in the test suite.
+correctness is pinned by finite-difference checks in the test suite, and
+the spectral loss by its time-domain value.
 """
 
 from __future__ import annotations
@@ -208,8 +227,15 @@ def _normalized_bins(x3, cfg: ModelConfig):
     std = np.maximum(rows.std(axis=-1, keepdims=True), RIN_EPS)
     rows -= mean  # rows is our private copy; normalize it in place
     rows /= std
-    spec = np.fft.rfft(rows, axis=-1)
-    return spec[:, 1 : 1 + cfg.n_in], mean, std
+    # a contiguous copy, so the full spectrum is freed before the layer's GEMMs
+    return np.fft.rfft(rows, axis=-1)[:, 1 : 1 + cfg.n_in].copy(), mean, std
+
+
+def _layer_into(out, kept, layer: ComplexLinear):
+    """out = kept @ W + b, computed in the caller's buffer."""
+    np.matmul(kept, layer.weight, out=out)
+    out += layer.bias
+    return out
 
 
 def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
@@ -218,7 +244,7 @@ def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
     # DC forced to 0; irfft zero-pads the bins above n_out itself
     bins = np.empty((kept.shape[0], 1 + cfg.n_out), dtype=np.complex128)
     bins[:, 0] = 0.0
-    bins[:, 1:] = kept @ layer.weight + layer.bias
+    _layer_into(bins[:, 1:], kept, layer)
     yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
     yn *= std
     yn += mean
@@ -289,11 +315,41 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
     return y[0] if squeeze else y
 
 
+def _channel_rows(a3) -> np.ndarray:
+    """(batch, rows, channels) -> contiguous channel-major (batch*channels, rows)."""
+    batch, rows, channels = a3.shape
+    return np.ascontiguousarray(a3.transpose(0, 2, 1)).reshape(batch * channels, rows)
+
+
+def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear):
+    """Full-window loss from spectra: (loss, kept, std, R) with R = rfft(y - t).
+
+    rfft(y) is std * [0, X W + b, 0...] plus n * mean at DC, with the Nyquist
+    bin's imaginary part dropped as irfft drops it, so R needs one rfft of the
+    target and no inverse transform; Parseval gives the MSE.
+    """
+    n = cfg.output_len
+    resid = np.fft.rfft(_channel_rows(t3), axis=-1)
+    kept, mean, std = _normalized_bins(x3, cfg)
+    np.negative(resid, out=resid)
+    resid[:, 0] += n * mean[:, 0]
+    layer_bins = _layer_into(np.empty((kept.shape[0], cfg.n_out), np.complex128), kept, layer)
+    layer_bins *= std
+    if cfg.n_out == n // 2:
+        layer_bins[:, -1].imag = 0.0
+    resid[:, 1 : 1 + cfg.n_out] += layer_bins
+    # DC and Nyquist appear once in a real signal's energy, every other bin twice
+    energy = (2.0 * np.vdot(resid, resid).real - np.vdot(resid[:, 0], resid[:, 0]).real
+              - np.vdot(resid[:, -1], resid[:, -1]).real)
+    return float(energy / (n * t3.size)), kept, std, resid
+
+
 def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     """MSE over the supervised region plus exact gradients (dW, db).
 
     Returns (loss, dW, db) with dW shaped like layer.weight and db like
-    layer.bias; see the module docstring for the adjoint chain.
+    layer.bias; see the module docstring for the adjoint chain of each
+    supervision.
     """
     _check_layer(cfg, layer)
     x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
@@ -302,31 +358,28 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     if t3.shape[0] != x3.shape[0]:
         raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
 
-    batch, _, channels = x3.shape
-    y_rows, kept, std = _forward_rows(x3, cfg, layer)
-    t_rows = np.ascontiguousarray(t3.transpose(0, 2, 1)).reshape(batch * channels, rows)
-    resid = y_rows[:, cfg.output_len - rows :] - t_rows
-    m = resid.size
-    loss = float(np.mean(resid**2))
-
-    # adjoint of (irfft o pad): 2/n on every used bin except Nyquist (1/n),
-    # folded together with the 2/m MSE factor and the instance std into one
-    # in-place scaling of the residual
     n = cfg.output_len
-    resid *= 4.0 / (m * n)
-    resid *= std
+    m = t3.size
+    # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used bin
+    # (Nyquist is halved below) and the instance std into one scaling
     if rows == n:
-        grad_rows = resid
+        loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer)
+        g = resid[:, 1 : 1 + cfg.n_out]
+        g *= (4.0 / (m * n)) * std
     else:
-        grad_rows = np.zeros_like(y_rows)
-        grad_rows[:, n - rows :] = resid
-    grad_bins = np.fft.rfft(grad_rows, axis=-1)
-    g = grad_bins[:, 1 : 1 + cfg.n_out]
+        grad_rows, kept, std = _forward_rows(x3, cfg, layer)
+        resid = grad_rows[:, n - rows :]
+        resid -= _channel_rows(t3)
+        loss = float(np.mean(resid**2))
+        resid *= 4.0 / (m * n)
+        resid *= std
+        grad_rows[:, : n - rows] = 0.0
+        g = np.fft.rfft(grad_rows, axis=-1)[:, 1 : 1 + cfg.n_out]
     if cfg.n_out == n // 2:
         # irfft ignores the imaginary part of the Nyquist bin
         g[:, -1] = g[:, -1].real * 0.5
 
-    d_weight = kept.conj().T @ g
+    d_weight = np.conjugate(kept, out=kept).T @ g  # kept is a private copy
     d_bias = g.sum(axis=0)
     return loss, d_weight, d_bias
 

@@ -555,6 +555,20 @@ def synth_stream(tmp_path):
     return synth_dir / "synth_values.csv", synth_dir / "synth_labels.csv"
 
 
+def test_detect_deterministic_across_runs(tmp_path, synth_stream):
+    values, labels = synth_stream
+    cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels, train_rows=375,
+                       window=80, factor=4, max_epochs=3, seed=1)
+    out = tmp_path / "runs"
+    argv = ["detect", "--config", str(cfg), "--out", str(out), "--train-first",
+            "--dump-scores"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    first, second = run_dirs(out)
+    for name in ("report.json", "scores.csv", "model.ckpt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def _recon_checkpoint(tmp_path, window, factor, channels):
     cfg = ModelConfig.for_reconstruction(window, factor, channels)
     path = tmp_path / f"recon-{window}-{factor}-{channels}.ckpt"
@@ -1011,6 +1025,14 @@ def _plus(make_argv, *extra):
                  id="supervisions=forecast,forecast"),
     pytest.param(_plus(_missing_data("train"), "--seed", "0,0"), 2,
                  "key 'seeds': '0' repeats an earlier value in '0,0'", id="--seed 0,0"),
+    pytest.param(_plus(_missing_data("train"), "--set", "horizon=8", "--set", " horizon =4"), 2,
+                 "--set horizon is given twice: '8', then '4'", id="--set horizon twice"),
+    pytest.param(_plus(_missing_data("detect"), "--set", "window=40", "--set", "window=40"), 2,
+                 "--set window is given twice: '40', then '40'", id="--set window twice"),
+    pytest.param(_plus(_missing_data("train"), "--seed", "0", "--seed", "1"), 2,
+                 "--seed is given 2 times; give one list, e.g. --seed 0,1", id="--seed twice"),
+    pytest.param(_plus(_missing_data("detect"), "--seed", "3", "--seed", "3"), 2,
+                 "--seed is given 2 times", id="detect --seed twice"),
 ])
 def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, code, message):
     argv = make_argv(tmp_path, sine_csv)
