@@ -40,11 +40,11 @@ class DetectionReport:
 def reconstruction_windows(rows: np.ndarray, window: int, factor: int) -> ArrayWindows:
     """Stride-1 training pairs: downsampled window in, original window out.
 
-    Both are read-only views of `rows`.
+    The input is every `factor`-th row of the target window; both are
+    read-only views of one channel-major copy of `rows`.
     """
     ModelConfig.for_reconstruction(window, factor, 1)  # refuses a geometry no model takes
-    view = sliding_windows(rows, window)
-    return ArrayWindows(view[:, ::factor], view)
+    return ArrayWindows.cut(rows, window, slice(None, None, factor), slice(None))
 
 
 def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,

@@ -437,10 +437,10 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         _check_channels(model_cfg, frame)
     else:
         model_cfg = mdl.ModelConfig.for_reconstruction(window, factor, frame.channels)
-        windows = ad.reconstruction_windows(values[:split], window, factor)
-        n_val = max(1, len(windows) // 5)
-        train_w = dat.ArrayWindows(windows.inputs[:-n_val], windows.targets[:-n_val])
-        val_w = dat.ArrayWindows(windows.inputs[-n_val:], windows.targets[-n_val:])
+        # the last fifth of the train rows' windows validate, the rest train
+        n_train = split - window + 1 - max(1, (split - window + 1) // 5)
+        train_w = ad.reconstruction_windows(values[: n_train + window - 1], window, factor)
+        val_w = ad.reconstruction_windows(values[n_train:split], window, factor)
         layer, _ = trn.train(model_cfg, mdl.init_params(model_cfg, cfg["seed"]),
                              train_w, val_w, spec, eval_steps=None)
         _write_atomic(run_dir / "model.ckpt",

@@ -1,8 +1,9 @@
 """Dataset ingestion, chronological splits, windowing, and the synthetic
 anomaly generator.
 
-Windows are strided views of the series rows (`sliding_windows`); a `batch`
-slice is a view too, and an index array copies only the rows it returns.
+Windows are strided views of one channel-major copy of the series rows
+(`ArrayWindows.cut`); a `batch` slice is a view too, and an index array
+copies the windows it returns once, inputs and targets alike.
 
 Splits follow the long-horizon benchmark protocol: the hourly ETT files use
 fixed 8640/2880/2880 row splits, the 15-minute ETT files 34560/11520/11520,
@@ -234,39 +235,77 @@ def sliding_windows(rows: np.ndarray, length: int) -> np.ndarray:
 class ArrayWindows:
     """(input, target) window pairs, shaped (n, rows, C) each.
 
-    Windows cut from a series are strided views of it (see `sliding_windows`),
-    so memory grows with series length, not with series length times window.
+    Windows are held channel-major, (n, C, rows), so a batch's per-channel
+    rows are contiguous, as the model reads them. Pairs cut from a series
+    (`cut`) are strided views of one channel-major copy of its rows, so memory
+    grows with series length, not with series length times window, and each
+    window's inputs and targets are row slices of that one window.
     """
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray):
-        self.inputs = np.asarray(inputs, dtype=np.float64)
-        self.targets = np.asarray(targets, dtype=np.float64)
-        if self.inputs.ndim != 3 or self.targets.ndim != 3 \
-                or self.inputs.shape[0] != self.targets.shape[0]:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
+        if inputs.ndim != 3 or targets.ndim != 3 or inputs.shape[0] != targets.shape[0]:
             raise ShapeError("inputs and targets must be (n, rows, C) with matching n")
+        self._input_windows = inputs.transpose(0, 2, 1)
+        self._windows = targets.transpose(0, 2, 1)
+        self._input_rows = self._target_rows = slice(None)
+
+    @classmethod
+    def cut(cls, rows: np.ndarray, length: int, input_rows: slice,
+            target_rows: slice) -> "ArrayWindows":
+        """Every stride-1 `length`-row window of a T x C block, paired as the
+        `input_rows` and `target_rows` slices of each window."""
+        return cls.__new__(cls)._cut(rows, length, input_rows, target_rows)
+
+    def _cut(self, rows, length: int, input_rows: slice, target_rows: slice):
+        rows = np.asarray(rows, dtype=np.float64)
+        # the windows of one channel-major (C, T) copy of the rows (no copy
+        # when they already are one), seen as (T, C) and turned to (n, C, length)
+        self._windows = self._input_windows = sliding_windows(
+            np.ascontiguousarray(rows.T).T, length).transpose(0, 2, 1)
+        self._input_rows, self._target_rows = input_rows, target_rows
+        return self
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self._input_windows[:, :, self._input_rows].transpose(0, 2, 1)
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._windows[:, :, self._target_rows].transpose(0, 2, 1)
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self._windows.shape[0]
 
     def batch(self, index):
-        """(inputs, targets) at `index` under NumPy indexing: a slice returns
-        views of the windows, an index array a copy of just those windows."""
-        return self.inputs[index], self.targets[index]
+        """(inputs, targets) at `index` under NumPy indexing, each (..., rows, C).
+
+        The windows are indexed once, and inputs and targets are views of
+        that one result when both come from the same window. A slice returns
+        views of the stored windows, an index array one channel-major copy of
+        just those windows.
+        """
+        windows = self._windows[index]
+        inputs = windows if self._input_windows is self._windows else self._input_windows[index]
+        return (np.swapaxes(inputs[..., self._input_rows], -1, -2),
+                np.swapaxes(windows[..., self._target_rows], -1, -2))
 
 
 class WindowSet(ArrayWindows):
     """Stride-1 sliding forecast windows over a block of rows.
 
-    Targets cover the horizon rows for forecast-only supervision and the full
-    input+horizon segment otherwise. Inputs and targets are read-only views
-    of the rows.
+    Each window covers input_len + horizon rows; its inputs are the first
+    input_len, its targets the horizon rows for forecast-only supervision and
+    the whole window otherwise. Both are read-only views of one channel-major
+    copy of the rows.
     """
 
     def __init__(self, rows: np.ndarray, input_len: int, horizon: int,
                  supervision: Supervision):
-        view = sliding_windows(rows, input_len + horizon)
-        targets = view[:, input_len:] if supervision is Supervision.FORECAST_ONLY else view
-        super().__init__(view[:, :input_len], targets)
+        targets = slice(input_len, None) if supervision is Supervision.FORECAST_ONLY \
+            else slice(None)
+        self._cut(rows, input_len + horizon, slice(input_len), targets)
 
 
 def split_windows(frame: SeriesFrame, profile: DatasetProfile, input_len: int,

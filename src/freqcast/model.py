@@ -40,7 +40,10 @@ the spectral loss by its time-domain value.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -56,6 +59,8 @@ from .errors import (
 from .spectral import cutoff_bins
 
 RIN_EPS = 1e-5
+# per-thread scratch arrays of the batch pipeline, see `_scratch`
+_buffers = threading.local()
 
 
 class Supervision(Enum):
@@ -208,27 +213,52 @@ def _check_layer(cfg: ModelConfig, layer: ComplexLinear):
         )
 
 
+def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """This thread's `name` buffer, viewed as a C-contiguous `shape` array of `dtype`.
+
+    The buffer is kept and reused while later requests fit in it, so the
+    batch loop does not fault in fresh pages for each batch. Contents are
+    undefined, and no function returns a view of one. The buffers are:
+    "work", the normalized input rows and then the layer's output bins;
+    "spectrum", the rows' spectrum; "target", the target's spectrum or the
+    residual's; "output", the forecast-only backward pass's output rows.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_buffers, name, buf)
+    return buf[:size].view(dtype).reshape(shape)
+
+
 def _normalized_bins(x3, cfg: ModelConfig):
     """Kept input bins of the normalized windows, in channel-major layout.
 
     One (batch*channels, timesteps) row per instance channel keeps the
     normalizer reductions contiguous and the layer contraction a single BLAS
-    matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in).
+    matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in),
+    a view of this thread's spectrum buffer.
     """
     batch, length, channels = x3.shape
     if not np.all(np.isfinite(x3)):
         raise InvalidValueError("input window contains non-finite values")
-    # explicit copy: the transpose can alias the caller's array when C == 1,
-    # and the buffer is normalized in place below
-    rows = np.empty((batch, channels, length))
+    rows = _scratch("work", (batch, channels, length))
     np.copyto(rows, x3.transpose(0, 2, 1))
     rows = rows.reshape(batch * channels, length)
+    spectrum = _scratch("spectrum", (batch * channels, length // 2 + 1), np.complex128)
     mean = rows.mean(axis=-1, keepdims=True)
-    std = np.maximum(rows.std(axis=-1, keepdims=True), RIN_EPS)
-    rows -= mean  # rows is our private copy; normalize it in place
+    # np.std's arithmetic, with the squares in the spectrum's storage:
+    # centre, square, pairwise-sum each row, divide by the count, sqrt
+    rows -= mean
+    squares = spectrum.view(np.float64)[:, :length]
+    np.multiply(rows, rows, out=squares)
+    std = squares.sum(axis=-1, keepdims=True)
+    std /= length
+    np.sqrt(std, out=std)
+    np.maximum(std, RIN_EPS, out=std)
     rows /= std
-    # a contiguous copy, so the full spectrum is freed before the layer's GEMMs
-    return np.fft.rfft(rows, axis=-1)[:, 1 : 1 + cfg.n_in].copy(), mean, std
+    np.fft.rfft(rows, axis=-1, out=spectrum)
+    return spectrum[:, 1 : 1 + cfg.n_in], mean, std
 
 
 def _layer_into(out, kept, layer: ComplexLinear):
@@ -238,25 +268,30 @@ def _layer_into(out, kept, layer: ComplexLinear):
     return out
 
 
-def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
-    """Full-window pipeline: (y_rows, kept, std), y_rows (batch*channels, output_len)."""
+def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear, out=None):
+    """Full-window pipeline: (y_rows, kept, std), y_rows (batch*channels, output_len).
+
+    y_rows is written into `out` when given, else into a fresh array.
+    """
     kept, mean, std = _normalized_bins(x3, cfg)
     # DC forced to 0; irfft zero-pads the bins above n_out itself
-    bins = np.empty((kept.shape[0], 1 + cfg.n_out), dtype=np.complex128)
+    bins = _scratch("work", (kept.shape[0], 1 + cfg.n_out), np.complex128)
     bins[:, 0] = 0.0
     _layer_into(bins[:, 1:], kept, layer)
-    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
+    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1, out=out)
     yn *= std
     yn += mean
     return yn, kept, std
 
 
+@functools.lru_cache(maxsize=16)
 def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     """(n_out, last) complex S with Re(Y @ S) = irfft([0, Y], output_len)[-last:].
 
     Row j-1 is 2/n * exp(2 pi i j t / n) for the last `last` timesteps t; when
     the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
-    irfft ignores that bin's imaginary part.
+    irfft ignores that bin's imaginary part. Cached per (cfg, last), so the
+    table is read-only.
     """
     n = cfg.output_len
     t = np.arange(n - last, n)
@@ -264,6 +299,7 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     synth = (2.0 / n) * np.exp(2j * np.pi * ((j * t) % n) / n)
     if cfg.n_out == n // 2:
         synth[-1] = np.where(t % 2, -1.0, 1.0) / n
+    synth.flags.writeable = False
     return synth
 
 
@@ -315,12 +351,6 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
     return y[0] if squeeze else y
 
 
-def _channel_rows(a3) -> np.ndarray:
-    """(batch, rows, channels) -> contiguous channel-major (batch*channels, rows)."""
-    batch, rows, channels = a3.shape
-    return np.ascontiguousarray(a3.transpose(0, 2, 1)).reshape(batch * channels, rows)
-
-
 def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear):
     """Full-window loss from spectra: (loss, kept, std, R) with R = rfft(y - t).
 
@@ -329,11 +359,14 @@ def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear):
     target and no inverse transform; Parseval gives the MSE.
     """
     n = cfg.output_len
-    resid = np.fft.rfft(_channel_rows(t3), axis=-1)
+    resid = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)
+    # channel-major target rows: a view when the batch was gathered channel-major
+    np.fft.rfft(t3.transpose(0, 2, 1).reshape(-1, n), axis=-1, out=resid)
     kept, mean, std = _normalized_bins(x3, cfg)
     np.negative(resid, out=resid)
     resid[:, 0] += n * mean[:, 0]
-    layer_bins = _layer_into(np.empty((kept.shape[0], cfg.n_out), np.complex128), kept, layer)
+    layer_bins = _layer_into(_scratch("work", (kept.shape[0], cfg.n_out), np.complex128),
+                             kept, layer)
     layer_bins *= std
     if cfg.n_out == n // 2:
         layer_bins[:, -1].imag = 0.0
@@ -367,19 +400,22 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
         g = resid[:, 1 : 1 + cfg.n_out]
         g *= (4.0 / (m * n)) * std
     else:
-        grad_rows, kept, std = _forward_rows(x3, cfg, layer)
+        batch, _, channels = x3.shape
+        grad_rows, kept, std = _forward_rows(
+            x3, cfg, layer, out=_scratch("output", (batch * channels, n)))
         resid = grad_rows[:, n - rows :]
-        resid -= _channel_rows(t3)
+        grad_rows.reshape(batch, channels, n)[:, :, n - rows :] -= t3.transpose(0, 2, 1)
         loss = float(np.mean(resid**2))
         resid *= 4.0 / (m * n)
         resid *= std
         grad_rows[:, : n - rows] = 0.0
-        g = np.fft.rfft(grad_rows, axis=-1)[:, 1 : 1 + cfg.n_out]
+        spectrum = _scratch("target", (batch * channels, n // 2 + 1), np.complex128)
+        g = np.fft.rfft(grad_rows, axis=-1, out=spectrum)[:, 1 : 1 + cfg.n_out]
     if cfg.n_out == n // 2:
         # irfft ignores the imaginary part of the Nyquist bin
         g[:, -1] = g[:, -1].real * 0.5
 
-    d_weight = np.conjugate(kept, out=kept).T @ g  # kept is a private copy
+    d_weight = np.conjugate(kept, out=kept).T @ g  # kept is scratch; conjugate it in place
     d_bias = g.sum(axis=0)
     return loss, d_weight, d_bias
 

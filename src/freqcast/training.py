@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    # two work vectors for adam_step, allocated with the moments
+    work: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -77,19 +82,30 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               spec: TrainSpec) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update, in place on the flat real vector."""
+    """One bias-corrected Adam update, in place on the flat real vector.
+
+    Temporaries go into the state's work vectors, in the operation order of
+    m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
+    params -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} disagree"
         )
     state.t += 1
+    step, denom = state.work
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads**2
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    params -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.square(grads, out=step)
+    state.v += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=step)
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step *= spec.learning_rate
+    step /= denom
+    params -= step
     return params, state
 
 
@@ -130,7 +146,8 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
     count = 0
     for lo in range(0, len(windows), EVAL_BATCH):
         x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
-        diff = model_forward(x, cfg, layer, last=k) - t[:, -k:, :]
+        # row-major, so the sums below add in the same order whatever the window layout
+        diff = np.subtract(model_forward(x, cfg, layer, last=k), t[:, -k:, :], order="C")
         sq += float(np.sum(diff**2))
         ab += float(np.sum(np.abs(diff)))
         count += diff.size
@@ -151,6 +168,8 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     rng = np.random.default_rng(spec.seed)
     theta = pack_params(layer)
     view = unpack_params(theta, cfg)  # Adam updates theta in place, so the view tracks it
+    grads = np.empty_like(theta)
+    grad_view = unpack_params(grads, cfg)  # each batch's (dW, db), packed like theta
     adam = AdamState.zeros(theta.size)
     n = len(train_windows)
 
@@ -163,13 +182,15 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         loss_sum = 0.0
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            x, t = train_windows.batch(idx)
-            loss, dw, db = model_backward(x, t, cfg, view)
+            # neither the batch nor (dW, db) outlives this statement, so the
+            # next batch is gathered into the memory they free
+            loss, grad_view.weight[...], grad_view.bias[...] = model_backward(
+                *train_windows.batch(idx), cfg, view)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}"
                 )
-            adam_step(theta, pack_params(ComplexLinear(dw, db)), adam, spec)
+            adam_step(theta, grads, adam, spec)
             loss_sum += loss * idx.size
         train_mse = loss_sum / n
         val_mse, val_mae = evaluate(cfg, view, val_windows, eval_steps)
@@ -179,7 +200,7 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         history.append(EpochStats(epoch, train_mse, val_mse, val_mae, improved))
         if improved:
             best_val = val_mse
-            best_theta = theta.copy()
+            best_theta[...] = theta
             stale = 0
         else:
             stale += 1

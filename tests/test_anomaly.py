@@ -27,8 +27,11 @@ def test_reconstruction_windows():
     rows = np.arange(24.0).reshape(12, 2)
     ws = reconstruction_windows(rows, 8, 4)
     assert len(ws) == 5
-    # both sides are read-only views of the rows, not a T x window copy
-    assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
+    # both sides are read-only views of one channel-major copy of the rows,
+    # not a T x window copy
+    assert np.shares_memory(ws.inputs, ws.targets)
+    low, high = np.lib.array_utils.byte_bounds(ws.targets)
+    assert high - low == rows.nbytes
     assert not ws.targets.flags.writeable
     x0, t0 = ws.batch(0)
     assert np.array_equal(t0, rows[:8])

@@ -569,6 +569,25 @@ def test_detect_deterministic_across_runs(tmp_path, synth_stream):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_commands_in_one_process_repeat_bytes(tmp_path, sine_csv, synth_stream):
+    # the model's per-thread scratch buffers outlive a command; a train run
+    # after a detect run of other shapes must write the same bytes as before it
+    train_cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
+                             timestamp_column="false", input_len=32, horizon=8,
+                             harmonic=2, max_epochs=2, seeds="0")
+    values, labels = synth_stream
+    detect_cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels,
+                              train_rows=375, window=80, factor=4, max_epochs=2, seed=1)
+    train = ["train", "--config", str(train_cfg), "--out"]
+    assert main([*train, str(tmp_path / "first")]) == 0
+    assert main(["detect", "--config", str(detect_cfg), "--out", str(tmp_path / "detect"),
+                 "--train-first"]) == 0
+    assert main([*train, str(tmp_path / "second")]) == 0
+    (first,), (second,) = run_dirs(tmp_path / "first"), run_dirs(tmp_path / "second")
+    for name in ("metrics.json", "model.ckpt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def _recon_checkpoint(tmp_path, window, factor, channels):
     cfg = ModelConfig.for_reconstruction(window, factor, channels)
     path = tmp_path / f"recon-{window}-{factor}-{channels}.ckpt"

@@ -164,19 +164,26 @@ def test_standardize_uses_train_rows_only():
     assert not np.allclose(stats.mean, stats2.mean)
 
 
+def _span(a) -> int:
+    """Bytes between the first and last byte an array reaches."""
+    low, high = np.lib.array_utils.byte_bounds(a)
+    return high - low
+
+
 def test_make_windows_counts_and_contents():
     rows = np.arange(20).reshape(10, 2).astype(float)
     ws = WindowSet(rows, 4, 2, Supervision.FORECAST_ONLY)
     assert len(ws) == 5  # 10 - 4 - 2 + 1
-    # inputs and targets are read-only views of the rows, not copies
-    assert np.shares_memory(ws.inputs, rows) and np.shares_memory(ws.targets, rows)
+    # inputs and targets are read-only views of one channel-major copy of the
+    # rows, not T x window copies
+    assert max(_span(ws.inputs), _span(ws.targets)) <= rows.nbytes
     assert not ws.inputs.flags.writeable
     x0, t0 = ws.batch(0)
     assert np.array_equal(x0, rows[0:4])
     assert np.array_equal(t0, rows[4:6])
 
     both = WindowSet(rows, 4, 2, Supervision.BACKCAST_AND_FORECAST)
-    assert np.shares_memory(both.targets, rows)
+    assert np.shares_memory(both.inputs, both.targets)
     x1, t1 = both.batch(3)
     assert np.array_equal(np.vstack([x1, t1[4:]]), rows[3:9])
     assert np.array_equal(t1, rows[3:9])
@@ -203,12 +210,15 @@ def test_window_batch_gather():
     ws = WindowSet(rows, 6, 2, Supervision.BACKCAST_AND_FORECAST)
     x, t = ws.batch([0, 5, 9])
     assert x.shape == (3, 6, 2) and t.shape == (3, 8, 2)
-    # an index array gives a private copy of only the rows it returns
-    assert np.shares_memory(ws.inputs, rows) and not np.shares_memory(x, rows)
-    assert np.array_equal(x[1], rows[5:11])
-    # a slice gives views of the series rows
+    # an index array gives one private copy of the windows it returns: the
+    # inputs are the first rows of the targets, and each is channel-major
+    assert not np.shares_memory(x, ws.targets) and np.shares_memory(x, t)
+    assert _span(t) == t.nbytes and t.transpose(0, 2, 1).flags.c_contiguous
+    assert x.transpose(0, 2, 1).strides[-1] == x.itemsize
+    assert np.array_equal(x[1], rows[5:11]) and np.array_equal(t[1], rows[5:13])
+    # a slice gives views of the stored windows
     x, t = ws.batch(slice(2, 5))
-    assert np.shares_memory(x, rows) and np.shares_memory(t, rows)
+    assert np.shares_memory(x, ws.targets) and np.shares_memory(t, ws.targets)
     assert np.array_equal(t[1], rows[3:11])
 
 
@@ -240,15 +250,16 @@ def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
     span = input_len + horizon
     recon = 2 * factor * max(1, input_len // 2)  # a window the factor downsamples to even
     forecast_only = supervision is Supervision.FORECAST_ONLY
+    # (build, window length, brute-force pair of window s, input row step)
     cases = [(
         lambda: WindowSet(series, input_len, horizon, supervision), span,
         lambda s: (series[s : s + input_len],
-                   series[s + input_len * forecast_only : s + span]),
+                   series[s + input_len * forecast_only : s + span]), 1,
     ), (
         lambda: reconstruction_windows(series, recon, factor), recon,
-        lambda s: (series[s : s + recon : factor], series[s : s + recon]),
+        lambda s: (series[s : s + recon : factor], series[s : s + recon]), factor,
     )]
-    for build, length, brute in cases:
+    for build, length, brute, step in cases:
         if rows < length:
             with pytest.raises(InvalidLengthError):
                 build()
@@ -266,6 +277,17 @@ def test_windows_match_brute_force_slicing(rows, channels, input_len, horizon,
         for k, i in enumerate(idx):
             bx, bt = brute(i)
             assert np.array_equal(x[k], bx) and np.array_equal(t[k], bt)
+        if idx:
+            # one private channel-major (len(idx), C, length) block holds both
+            parts = [a for a in (x, t) if a.size]
+            bounds = [np.lib.array_utils.byte_bounds(a) for a in parts]
+            block = max(hi for _, hi in bounds) - min(lo for lo, _ in bounds)
+            assert block <= len(idx) * channels * length * x.itemsize
+            assert not any(np.shares_memory(a, ws.targets) for a in parts)
+            xt, tt = x.transpose(0, 2, 1), t.transpose(0, 2, 1)
+            assert xt.strides[-1] == step * x.itemsize
+            if t.shape[1] == length:  # whole-window targets: the inputs are their rows
+                assert np.shares_memory(x, t) and tt.flags.c_contiguous
         # NumPy indexing: -1 is the last window, and past either end raises
         x, t = ws.batch(-1)
         bx, bt = brute(count - 1)

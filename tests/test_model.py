@@ -4,6 +4,8 @@ finite differences, seeded init, and parameter accounting against the
 published benchmark settings."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from freqcast.errors import InvalidArgumentError, InvalidLengthError, InvalidValueError, ShapeError
 from freqcast.model import (
+    RIN_EPS,
     ComplexLinear,
     ModelConfig,
     RinState,
@@ -25,6 +28,7 @@ from freqcast.model import (
     rin_denormalize,
     rin_normalize,
     _normalized_bins,
+    _tail_synthesis,
     save_checkpoint,
     unpack_params,
 )
@@ -102,6 +106,15 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     assert np.abs(kept - rows(want)).max() <= 1e-12
     assert np.abs(mean - rows(state.mean)).max() <= 1e-12
     assert np.abs(std - rows(state.std)).max() <= 1e-12
+
+    # the statistics are np.mean's and np.std's bit for bit, on a constant
+    # channel and on one offset by 1e6 too
+    x[0, :, 0] = 7.25
+    x[1, :, -1] += 1e6
+    _, mean, std = _normalized_bins(x, cfg)
+    assert np.array_equal(mean, np.mean(rows(x), axis=-1, keepdims=True))
+    assert np.array_equal(std, np.maximum(np.std(rows(x), axis=-1, keepdims=True), RIN_EPS))
+    assert std[0, 0] == RIN_EPS
 
 
 def test_forward_zero_weights_returns_instance_mean():
@@ -230,6 +243,19 @@ def test_forward_last_rows_match_full_output(case):
     assert model_forward(x[0], cfg, layer, last=last).shape == (last, cfg.channels)
 
 
+@pytest.mark.parametrize("cfg", [
+    ModelConfig.for_forecast(48, 24, 24, 0, 1),  # the layer reaches Nyquist
+    ModelConfig.for_forecast(48, 24, 24, 2, 1),
+])
+def test_tail_synthesis_is_cached_read_only(cfg):
+    synth = _tail_synthesis(cfg, 24)
+    assert _tail_synthesis(cfg, 24) is synth
+    assert not synth.flags.writeable
+    with pytest.raises(ValueError):
+        synth[0, 0] = 0.0
+    assert np.array_equal(synth, _tail_synthesis.__wrapped__(cfg, 24))
+
+
 @pytest.mark.parametrize("last", [0, -1, 25])
 def test_forward_rejects_last_outside_output(last):
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
@@ -351,6 +377,74 @@ def test_gradient_target_shape_errors():
         model_backward(x, np.zeros((2, 8, 1)), cfg, layer)  # B+F wants 24 rows
     with pytest.raises(ShapeError):
         model_backward(x, np.zeros((3, 24, 1)), cfg, layer)  # 3 targets for 2 inputs
+
+
+def _model_calls(seed):
+    """Backward (both supervisions) and forward (full and tail) results on seeded data."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig.for_forecast(24, 8, 6, 2, 3)
+    forecast = ModelConfig.for_forecast(24, 8, 6, 2, 3, Supervision.FORECAST_ONLY)
+    layer = init_params(cfg, seed)
+    x = rng.normal(size=(6, 24, 3)) * 2.0 + 1.0
+    target = rng.normal(size=(6, 32, 3))
+    return [model_backward(x, target, cfg, layer),
+            model_backward(x, target[:, 24:], forecast, layer),
+            model_forward(x, cfg, layer), model_forward(x, cfg, layer, last=8)]
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):  # (loss, dW, db)
+            assert g[0] == w[0]
+            assert np.array_equal(g[1], w[1]) and np.array_equal(g[2], w[2])
+        else:
+            assert np.array_equal(g, w)
+
+
+def test_results_outlive_later_calls():
+    # the model's scratch buffers are reused; nothing it returns may alias one
+    results = _model_calls(70)
+    saved = [(r[0], r[1].copy(), r[2].copy()) if isinstance(r, tuple) else r.copy()
+             for r in results]
+    _model_calls(71)  # the same shapes, other data
+    rng = np.random.default_rng(72)
+    for cfg in (ModelConfig.for_forecast(48, 16, 12, 0, 2),
+                ModelConfig.for_forecast(8, 4, 4, 0, 1, Supervision.FORECAST_ONLY)):
+        layer = init_params(cfg, 73)
+        for batch in (1, 20):  # smaller and larger than the first batch
+            x = rng.normal(size=(batch, cfg.input_len, cfg.channels))
+            model_backward(x, rng.normal(size=(batch, cfg.target_rows, cfg.channels)),
+                           cfg, layer)
+            model_forward(x, cfg, layer)
+            model_forward(x, cfg, layer, last=3)
+    _model_calls(74)
+    _assert_same_bits(results, saved)
+
+
+def test_threads_compute_the_main_threads_bits():
+    # each thread has its own buffers: fresh threads running at once, with
+    # frequent switches, repeat the main thread's results bit for bit
+    want = {seed: _model_calls(seed) for seed in range(75, 79)}
+    got = {}
+
+    def work(seed):
+        got[seed] = [_model_calls(seed) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(seed,)) for seed in want]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(got) == sorted(want)
+    for seed, runs in got.items():
+        for run in runs:
+            _assert_same_bits(run, want[seed])
 
 
 def test_forecast_only_supervision_needs_a_horizon():

@@ -21,6 +21,9 @@ from freqcast.model import (
     unpack_params,
 )
 from freqcast.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     GridRow,
     TrainSpec,
@@ -83,6 +86,28 @@ def test_adam_deterministic():
     adam_step(p1, g, s1, spec)
     adam_step(p2, g, s2, spec)
     assert np.array_equal(p1, p2)
+
+
+def test_adam_step_equals_the_allocating_formula_bit_for_bit():
+    rng = np.random.default_rng(8)
+    spec = TrainSpec(learning_rate=3e-3)
+    params = rng.normal(size=400)
+    want, m, v = params.copy(), np.zeros(400), np.zeros(400)
+    state = AdamState.zeros(400)
+    for t in range(1, 7):
+        g = rng.normal(size=400) * 10.0 ** rng.integers(-8, 4, size=400)
+        given = g.copy()
+        adam_step(params, g, state, spec)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        want -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        assert np.array_equal(params, want)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v) and state.t == t
+        assert np.array_equal(g, given)  # the gradient is read, not used as scratch
 
 
 def test_adam_shape_mismatch():
