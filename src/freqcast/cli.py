@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 runtime/numeric error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 from collections import namedtuple
 from dataclasses import asdict
@@ -265,6 +266,17 @@ def _train_spec(cfg: dict, seeds) -> trn.TrainSpec:
 
 # --- commands ----------------------------------------------------------------
 
+def _check_forecast_cells(horizon: int, period: int, look_backs, harmonics,
+                          supervisions) -> None:
+    """Refuse, before any file is read, a cell whose geometry the model rejects."""
+    for look_back, harmonic, supervision in itertools.product(look_backs, harmonics,
+                                                              supervisions):
+        try:
+            mdl.ModelConfig.for_forecast(look_back, horizon, period, harmonic, 1, supervision)
+        except (InvalidArgumentError, InvalidLengthError) as exc:
+            raise ConfigError(f"look-back {look_back}, horizon {horizon}: {exc}") from None
+
+
 def _standardized_frame(cfg: dict, profile: dat.DatasetProfile,
                         model_cfg: mdl.ModelConfig | None):
     """The config's data, standardized by its train split under `profile`.
@@ -283,6 +295,8 @@ def _standardized_frame(cfg: dict, profile: dat.DatasetProfile,
 def cmd_train(cfg: dict, run_dir: Path) -> None:
     spec = _train_spec(cfg, cfg["seeds"])
     profile = dataset_profile(cfg)
+    _check_forecast_cells(cfg["horizon"], profile.period, [cfg["input_len"]],
+                          [cfg["harmonic"]], [cfg["supervision"]])
     frame = _standardized_frame(cfg, profile, None)
     model_cfg, runs = trn.train_seeds(
         frame, profile, cfg["horizon"], cfg["input_len"], cfg["harmonic"],
@@ -340,6 +354,8 @@ def cmd_grid(cfg: dict, run_dir: Path) -> None:
     """Sweep the grid into run_dir; rows already in its grid.csv (--resume) are kept."""
     spec = _train_spec(cfg, cfg["seeds"])
     profile = dataset_profile(cfg)
+    _check_forecast_cells(cfg["horizon"], profile.period, cfg["look_backs"],
+                          cfg["harmonics"], cfg["supervisions"])
     _pin_grid_config(cfg, run_dir)
     frame = _standardized_frame(cfg, profile, None)
     grid_path = run_dir / "grid.csv"

@@ -22,15 +22,12 @@ rows the loss covers (`ModelConfig.target_rows`):
   bin's imaginary part dropped first because irfft drops it. Parseval gives
   the MSE, (|R_0|^2 + 2 sum_k |R_k|^2 + |R_n/2|^2) / (n m), and
   G = 4 / (m n) * std * R over the layer's bins. No inverse FFT is needed.
-* the horizon rows only (forecast-only): a residual on the tail rows is not
-  diagonal in frequency, so the forward pass runs to the time domain. The
-  residual, zero on the backcast rows and scaled by 4 / (m n) * std, goes
-  through the rfft (the adjoint of irfft up to its 1/n factor and its
-  doubling of every bin except DC and Nyquist), and G is the slice of bins
-  the layer produced.
-
-In both, G's Nyquist entry (when the layer reaches it) is halved and made
-real, since that bin enters the output once and only through its real part.
+  When the layer reaches the Nyquist bin, G's entry there is halved and made
+  real, since that bin enters the output once and only through its real part.
+* the horizon rows only (forecast-only): S = `_tail_synthesis` maps the
+  layer's bins to those rows, y = Re((X W + b) S) * std + mean, and with r
+  the residual on them G = (2 / m) * std * r S^H: two real GEMMs, no FFT
+  after the input's rfft, and no Nyquist fold, since S's Nyquist row is real.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
@@ -219,9 +216,9 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     The buffer is kept and reused while later requests fit in it, so the
     batch loop does not fault in fresh pages for each batch. Contents are
     undefined, and no function returns a view of one. The buffers are:
-    "work", the normalized input rows and then the layer's output bins;
-    "spectrum", the rows' spectrum; "target", the target's spectrum or the
-    residual's; "output", the forecast-only backward pass's output rows.
+    "work", the normalized input rows and then the layer's output bins or
+    their gradient; "spectrum", the rows' spectrum; "target", the target's
+    spectrum and then the residual's, or the tail rows and then their residual.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -268,20 +265,17 @@ def _layer_into(out, kept, layer: ComplexLinear):
     return out
 
 
-def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear, out=None):
-    """Full-window pipeline: (y_rows, kept, std), y_rows (batch*channels, output_len).
-
-    y_rows is written into `out` when given, else into a fresh array.
-    """
+def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
+    """Full-window pipeline: the (batch*channels, output_len) output rows."""
     kept, mean, std = _normalized_bins(x3, cfg)
     # DC forced to 0; irfft zero-pads the bins above n_out itself
     bins = _scratch("work", (kept.shape[0], 1 + cfg.n_out), np.complex128)
     bins[:, 0] = 0.0
     _layer_into(bins[:, 1:], kept, layer)
-    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1, out=out)
+    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
     yn *= std
     yn += mean
-    return yn, kept, std
+    return yn
 
 
 @functools.lru_cache(maxsize=16)
@@ -291,7 +285,8 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     Row j-1 is 2/n * exp(2 pi i j t / n) for the last `last` timesteps t; when
     the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
     irfft ignores that bin's imaginary part. Cached per (cfg, last), so the
-    table is read-only.
+    table is read-only. Used by `model_forward(..., last)` (so by `evaluate`) and,
+    through `_tail_adjoint`, by forecast-only `model_backward`.
     """
     n = cfg.output_len
     t = np.arange(n - last, n)
@@ -303,12 +298,24 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     return synth
 
 
+@functools.lru_cache(maxsize=16)
+def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
+    """S^H as (last, 2 n_out) reals (Re S_j, -Im S_j): r @ it, viewed complex, is r @ S^H.
+
+    `_forward_tail` builds the same real form (transposed) of W @ S.
+    """
+    adjoint = _tail_synthesis(cfg, last).conj().T.copy().view(np.float64)
+    adjoint.flags.writeable = False
+    return adjoint
+
+
 def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
     """The last `last` output rows only, with the layer folded into the synthesis.
 
     V = W @ S maps kept input bins straight to the tail timesteps, so
-    Re(X V) = Xr Vr - Xi Vi is one real GEMM on the interleaved (re, im)
-    view of the kept bins; Re(b @ S) is the bias's share of every row.
+    Re(X V) is one real GEMM on the interleaved (re, im) view of the kept
+    bins; Re(b @ S) is the bias's share of every row. Returns (y_rows, kept,
+    std) with y_rows (batch*channels, last) in this thread's "target" buffer.
     """
     kept, mean, std = _normalized_bins(x3, cfg)
     synth = _tail_synthesis(cfg, last)
@@ -316,15 +323,12 @@ def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
     real_fold = np.empty((2 * cfg.n_in, last))
     real_fold[0::2] = fold.real
     real_fold[1::2] = -fold.imag
-    yn = kept.view(np.float64) @ real_fold
+    yn = np.matmul(kept.view(np.float64), real_fold,
+                   out=_scratch("target", (kept.shape[0], last)))
     yn += (layer.bias @ synth).real
     yn *= std
     yn += mean
-    return yn
-
-
-def _rows_to_batch(y_rows, batch: int, channels: int) -> np.ndarray:
-    return y_rows.reshape(batch, channels, -1).transpose(0, 2, 1)
+    return yn, kept, std
 
 
 def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
@@ -344,10 +348,10 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
             f"last={last} outside the {cfg.output_len}-row output window"
         )
     if last < cfg.output_len:
-        y_rows = _forward_tail(x3, cfg, layer, last)
+        y_rows = _forward_tail(x3, cfg, layer, last)[0].copy()  # the rows are scratch
     else:
-        y_rows, _, _ = _forward_rows(x3, cfg, layer)
-    y = _rows_to_batch(y_rows, x3.shape[0], x3.shape[2])
+        y_rows = _forward_rows(x3, cfg, layer)
+    y = y_rows.reshape(x3.shape[0], cfg.channels, last).transpose(0, 2, 1)
     return y[0] if squeeze else y
 
 
@@ -393,27 +397,22 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
 
     n = cfg.output_len
     m = t3.size
-    # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used bin
-    # (Nyquist is halved below) and the instance std into one scaling
     if rows == n:
         loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer)
         g = resid[:, 1 : 1 + cfg.n_out]
+        # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
+        # bin and the instance std into one scaling
         g *= (4.0 / (m * n)) * std
+        if cfg.n_out == n // 2:
+            # irfft ignores the imaginary part of the Nyquist bin and counts it once
+            g[:, -1] = g[:, -1].real * 0.5
     else:
-        batch, _, channels = x3.shape
-        grad_rows, kept, std = _forward_rows(
-            x3, cfg, layer, out=_scratch("output", (batch * channels, n)))
-        resid = grad_rows[:, n - rows :]
-        grad_rows.reshape(batch, channels, n)[:, :, n - rows :] -= t3.transpose(0, 2, 1)
-        loss = float(np.mean(resid**2))
-        resid *= 4.0 / (m * n)
-        resid *= std
-        grad_rows[:, : n - rows] = 0.0
-        spectrum = _scratch("target", (batch * channels, n // 2 + 1), np.complex128)
-        g = np.fft.rfft(grad_rows, axis=-1, out=spectrum)[:, 1 : 1 + cfg.n_out]
-    if cfg.n_out == n // 2:
-        # irfft ignores the imaginary part of the Nyquist bin
-        g[:, -1] = g[:, -1].real * 0.5
+        resid, kept, std = _forward_tail(x3, cfg, layer, rows)
+        resid.reshape(-1, cfg.channels, rows)[...] -= t3.transpose(0, 2, 1)
+        loss = float(np.vdot(resid, resid)) / m
+        resid *= (2.0 / m) * std
+        g = _scratch("work", (kept.shape[0], cfg.n_out), np.complex128)
+        np.matmul(resid, _tail_adjoint(cfg, rows), out=g.view(np.float64))
 
     d_weight = np.conjugate(kept, out=kept).T @ g  # kept is scratch; conjugate it in place
     d_bias = g.sum(axis=0)

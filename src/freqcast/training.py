@@ -322,7 +322,8 @@ def read_grid_csv(path) -> list[GridRow]:
 
     A final row without its line end, which an older version's row-by-row
     append could leave, is dropped and its cell reruns. Any other malformed
-    row raises ParseError.
+    row, an unknown supervision or a non-finite val or test MSE raises
+    ParseError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -335,13 +336,20 @@ def read_grid_csv(path) -> list[GridRow]:
     if records and records[0] != GRID_CSV_FIELDS:
         raise ParseError(f"{path}: header {records[0]} is not {GRID_CSV_FIELDS}")
     rows = []
+    supervisions = [s.value for s in Supervision]
     for lineno, rec in enumerate(records[1:], start=2):
         try:
             look_back, harmonic, supervision, val, test, entries, epochs = rec
-            rows.append(GridRow(int(look_back), int(harmonic), supervision,
-                                float(val), float(test), int(entries), float(epochs)))
+            row = GridRow(int(look_back), int(harmonic), supervision,
+                          float(val), float(test), int(entries), float(epochs))
         except ValueError:
             raise ParseError(
                 f"{path}: row {lineno} is not a {len(GRID_CSV_FIELDS)}-cell grid row: {rec}"
             ) from None
+        if supervision not in supervisions:
+            raise ParseError(f"{path}: row {lineno} has supervision {supervision!r}, "
+                             f"not one of {supervisions}")
+        if not (math.isfinite(row.val_mse) and math.isfinite(row.test_mse)):
+            raise ParseError(f"{path}: row {lineno} has a non-finite MSE: {rec}")
+        rows.append(row)
     return rows

@@ -299,23 +299,32 @@ def test_bad_synth_value_exits_2_without_writing(tmp_path, capsys, override, mes
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
-@pytest.mark.parametrize("command, keys", [
-    ("train", {"input_len": 16}),
-    ("grid", {"look_backs": "16,32", "harmonics": 1}),
-])
-def test_zero_horizon_exits_3_before_training(tmp_path, sine_csv, capsys, monkeypatch,
-                                              command, keys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained with horizon 0")
+@pytest.mark.parametrize("command, keys, message", [
+    ("train", {"input_len": 16, "horizon": 0}, "horizon must be >= 1, got 0"),
+    ("grid", {"look_backs": "16,32", "harmonics": 1, "horizon": 0},
+     "horizon must be >= 1, got 0"),
+    ("train", {"input_len": 15, "horizon": 8},
+     "look-back 15, horizon 8: input_len must be even and >= 2, got 15"),
+    ("train", {"input_len": 16, "horizon": 7},
+     "look-back 16, horizon 7: output_len must be even and >= input_len, got 23"),
+    ("grid", {"look_backs": "16,15", "harmonics": 1, "horizon": 8},
+     "look-back 15, horizon 8: input_len must be even and >= 2, got 15"),
+], ids=["train-horizon-0", "grid-horizon-0", "train-odd-input_len", "train-odd-horizon",
+        "grid-odd-look-back"])
+def test_bad_geometry_exits_2_before_reading_data(tmp_path, sine_csv, capsys, monkeypatch,
+                                                  command, keys, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("read the data or trained with a bad geometry")
 
-    monkeypatch.setattr("freqcast.training.train", no_training)
+    monkeypatch.setattr("freqcast.training.train", fail)
+    monkeypatch.setattr("freqcast.data.load_csv", fail)
     cfg = write_config(tmp_path, "c.cfg", data=sine_csv, period=24,
-                       timestamp_column="false", horizon=0, seeds="0", **keys)
+                       timestamp_column="false", seeds="0", **keys)
     out = tmp_path / "r"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "horizon must be >= 1, got 0" in err and len(err.strip().splitlines()) == 1
-    assert not list(out.rglob("grid.csv")) and not list(out.rglob("model.ckpt"))
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not list(out.rglob("*"))  # no grid.csv, no model.ckpt, no run directory
 
 
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):
@@ -808,6 +817,20 @@ def _torn_middle_grid(tmp_path, sine_csv):
     return argv
 
 
+def _grid_cell_edited(cell, value):
+    """`_resume_finished_grid` with cell `cell` of grid.csv's first row set to `value`."""
+    def make_argv(tmp_path, sine_csv):
+        argv = _resume_finished_grid(tmp_path, sine_csv)
+        grid = Path(argv[-1]) / "grid.csv"
+        lines = grid.read_text().splitlines(keepends=True)
+        cells = lines[1].rstrip("\r\n").split(",")
+        cells[cell] = value
+        lines[1] = ",".join(cells) + "\r\n"
+        grid.write_text("".join(lines))
+        return argv
+    return make_argv
+
+
 def _empty_seed_list(tmp_path, sine_csv):
     cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
                        timestamp_column="false", input_len=32, horizon=8, seeds=",")
@@ -1002,6 +1025,12 @@ def _plus(make_argv, *extra):
     (_config_json_not_json, 2, "config.json: Expecting ',' delimiter"),
     (_config_json_not_object, 2, "config.json: not a JSON object"),
     (_torn_middle_grid, 3, "row 2 is not a 7-cell grid row"),
+    pytest.param(_grid_cell_edited(2, "bogus"), 3, "row 2 has supervision 'bogus', not one",
+                 id="grid.csv supervision=bogus"),
+    pytest.param(_grid_cell_edited(3, "nan"), 3, "row 2 has a non-finite MSE",
+                 id="grid.csv val_mse=nan"),
+    pytest.param(_grid_cell_edited(4, "inf"), 3, "row 2 has a non-finite MSE",
+                 id="grid.csv test_mse=inf"),
     (_empty_seed_list, 2, "key 'seeds': expected a comma-separated list"),
     (_truncated_checkpoint, 3, "truncated"),
     (_eval_other_channels, 2, "trained on 3 channels, dataset has 2"),

@@ -337,11 +337,14 @@ def test_gradient_forecast_only_supervision():
     ModelConfig.for_forecast(16, 8, 4, 0, 2),  # harmonic 0: the layer reaches Nyquist
     ModelConfig.for_forecast(32, 8, 8, 1, 2),  # 15 -> 18 of 20 bins: no Nyquist
     ModelConfig.for_reconstruction(24, 2, 2),
-    ModelConfig.for_forecast(16, 8, 4, 0, 2, Supervision.FORECAST_ONLY),
-], ids=["bf-nyquist", "bf-below-nyquist", "reconstruction", "forecast-only"])
+    ModelConfig.for_forecast(16, 8, 4, 0, 2, Supervision.FORECAST_ONLY),  # reaches Nyquist
+    ModelConfig.for_forecast(32, 8, 8, 1, 2, Supervision.FORECAST_ONLY),  # 15 -> 18 of 20
+], ids=["bf-nyquist", "bf-below-nyquist", "reconstruction", "forecast-only",
+        "forecast-only-below-nyquist"])
 def test_backward_matches_time_domain_oracle(cfg):
-    # the full-window loss is computed from spectra; the oracle is the
-    # time-domain MSE of the forward pass, and finite differences of the loss
+    # the full-window loss is computed from spectra and the forecast-only loss
+    # through the tail synthesis; the oracle is the time-domain MSE of the
+    # full forward pass, and finite differences of the loss
     rows = cfg.target_rows
     rng = np.random.default_rng(cfg.output_len + rows)
     layer = init_params(cfg, 37)
