@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqcast import training
+from freqcast import model, training
 from freqcast.cli import _train_spec, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
@@ -595,6 +595,45 @@ def test_commands_in_one_process_repeat_bytes(tmp_path, sine_csv, synth_stream):
     (first,), (second,) = run_dirs(tmp_path / "first"), run_dirs(tmp_path / "second")
     for name in ("metrics.json", "model.ckpt"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def _split_and_serial_runs(tmp_path, monkeypatch, argv):
+    """The run directories of argv with the model's split forced on, then off."""
+    worker_halves = []
+    first_half = model._first_half
+    monkeypatch.setattr(model, "_first_half",
+                        lambda count: worker_halves.append(count) or first_half(count))
+    runs = []
+    for split in (True, False):
+        monkeypatch.setattr(model, "_splits", lambda values: split)
+        out = tmp_path / f"split-{split}"
+        assert main([*argv, "--out", str(out)]) == 0
+        runs += run_dirs(out)
+        assert bool(worker_halves) is split
+        worker_halves.clear()
+    return runs
+
+
+@pytest.mark.parametrize("supervision", ["backcast+forecast", "forecast"])
+def test_split_train_writes_the_serial_bytes(tmp_path, sine_csv, monkeypatch, supervision):
+    cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24, timestamp_column="false",
+                       input_len=32, horizon=8, harmonic=2, supervision=supervision,
+                       max_epochs=3, seeds="0,1")
+    split, serial = _split_and_serial_runs(tmp_path, monkeypatch,
+                                           ["train", "--config", str(cfg)])
+    for name in ("metrics.json", "model.ckpt", "history.csv"):
+        assert (split / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_split_detect_writes_the_serial_bytes(tmp_path, synth_stream, monkeypatch):
+    values, labels = synth_stream
+    cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels, train_rows=375,
+                       window=80, factor=4, max_epochs=3, seed=1)
+    split, serial = _split_and_serial_runs(
+        tmp_path, monkeypatch,
+        ["detect", "--config", str(cfg), "--train-first", "--dump-scores"])
+    for name in ("report.json", "scores.csv", "model.ckpt"):
+        assert (split / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def _recon_checkpoint(tmp_path, window, factor, channels):

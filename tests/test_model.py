@@ -4,14 +4,18 @@ finite differences, seeded init, and parameter accounting against the
 published benchmark settings."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqcast import model
 from freqcast.errors import InvalidArgumentError, InvalidLengthError, InvalidValueError, ShapeError
 from freqcast.model import (
     RIN_EPS,
@@ -93,7 +97,8 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     rng = np.random.default_rng(40 + channels)
     x = rng.normal(3.0, 2.0, size=(5, 24, channels))
     before = x.copy()
-    kept, mean, std = _normalized_bins(x, cfg)
+    kept, mean, std, normalize = _normalized_bins(x, cfg)
+    normalize(slice(0, len(x)))
     assert np.array_equal(x, before)
 
     xn, state = rin_normalize(x)
@@ -111,7 +116,8 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     # channel and on one offset by 1e6 too
     x[0, :, 0] = 7.25
     x[1, :, -1] += 1e6
-    _, mean, std = _normalized_bins(x, cfg)
+    _, mean, std, normalize = _normalized_bins(x, cfg)
+    normalize(slice(0, len(x)))
     assert np.array_equal(mean, np.mean(rows(x), axis=-1, keepdims=True))
     assert np.array_equal(std, np.maximum(np.std(rows(x), axis=-1, keepdims=True), RIN_EPS))
     assert std[0, 0] == RIN_EPS
@@ -382,17 +388,23 @@ def test_gradient_target_shape_errors():
         model_backward(x, np.zeros((3, 24, 1)), cfg, layer)  # 3 targets for 2 inputs
 
 
-def _model_calls(seed):
-    """Backward (both supervisions) and forward (full and tail) results on seeded data."""
+def _all_passes(cfg, batch, seed):
+    """Backward and forward (full, last row, horizon) results on seeded data."""
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig.for_forecast(24, 8, 6, 2, 3)
-    forecast = ModelConfig.for_forecast(24, 8, 6, 2, 3, Supervision.FORECAST_ONLY)
     layer = init_params(cfg, seed)
-    x = rng.normal(size=(6, 24, 3)) * 2.0 + 1.0
-    target = rng.normal(size=(6, 32, 3))
-    return [model_backward(x, target, cfg, layer),
-            model_backward(x, target[:, 24:], forecast, layer),
-            model_forward(x, cfg, layer), model_forward(x, cfg, layer, last=8)]
+    layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
+    x = rng.normal(size=(batch, cfg.input_len, cfg.channels)).cumsum(axis=1)
+    target = rng.normal(size=(batch, cfg.target_rows, cfg.channels))
+    return [model_backward(x, target, cfg, layer), model_forward(x, cfg, layer),
+            model_forward(x, cfg, layer, last=1),
+            model_forward(x, cfg, layer, last=max(1, cfg.horizon))]
+
+
+def _model_calls(seed):
+    """`_all_passes` of both supervisions at one small shape."""
+    return [*_all_passes(ModelConfig.for_forecast(24, 8, 6, 2, 3), 6, seed),
+            *_all_passes(ModelConfig.for_forecast(24, 8, 6, 2, 3, Supervision.FORECAST_ONLY),
+                         6, seed)]
 
 
 def _assert_same_bits(got, want):
@@ -448,6 +460,202 @@ def test_threads_compute_the_main_threads_bits():
     for seed, runs in got.items():
         for run in runs:
             _assert_same_bits(run, want[seed])
+
+
+# --- split passes --------------------------------------------------------------------
+
+FORECAST = Supervision.FORECAST_ONLY
+
+
+@pytest.fixture()
+def split_log(monkeypatch):
+    """Force the split on; the list records the thread of every worker half."""
+    threads = []
+    first_half = model._first_half
+
+    def logged(count):
+        threads.append(threading.current_thread())
+        return first_half(count)
+
+    monkeypatch.setattr(model, "_splits", lambda values: True)
+    monkeypatch.setattr(model, "_first_half", logged)
+    return threads
+
+
+@pytest.mark.parametrize("cfg, batch", [
+    (ModelConfig.for_forecast(48, 16, 12, 2, 3), 8),  # backcast+forecast below Nyquist
+    (ModelConfig.for_forecast(32, 8, 8, 0, 2), 7),  # at the Nyquist bin, odd window count
+    (ModelConfig.for_forecast(48, 16, 12, 2, 3, FORECAST), 9),
+    (ModelConfig.for_forecast(32, 8, 8, 0, 1, FORECAST), 5),  # forecast-only at Nyquist
+    (ModelConfig.for_reconstruction(200, 4, 1), 64),  # the detect-stream model
+    (ModelConfig.for_reconstruction(40, 4, 2), 1),  # one window: only dW's rows split
+    (ModelConfig.for_forecast(96, 96, 24, 2, 7), 11),
+    (ModelConfig.for_forecast(96, 96, 24, 2, 7, FORECAST), 6),
+    (ModelConfig.for_forecast(6, 2, 1, 0, 2), 4),  # n_in = 3: dW's rows stay whole
+    (ModelConfig.for_reconstruction(2, 1, 3), 5),  # a 1x1 layer
+], ids=lambda v: str(v) if isinstance(v, int) else
+       f"L{v.input_len}-O{v.output_len}-h{v.harmonic}-C{v.channels}-{v.supervision.value}")
+def test_split_passes_repeat_the_serial_bits(monkeypatch, split_log, cfg, batch):
+    monkeypatch.setattr(model, "_splits", lambda values: False)
+    serial = _all_passes(cfg, batch, 90)
+    assert not split_log
+    monkeypatch.setattr(model, "_splits", lambda values: True)
+    split = _all_passes(cfg, batch, 90)
+    assert split_log and all(t is not threading.main_thread() for t in split_log)
+    _assert_same_bits(split, serial)
+
+
+def test_callers_share_the_worker(split_log):
+    # several calling threads queue their halves on the one worker
+    want = {seed: _model_calls(seed) for seed in range(80, 83)}
+    got = {}
+
+    def work(seed):
+        got[seed] = [_model_calls(seed) for _ in range(3)]
+
+    callers = [threading.Thread(target=work, args=(seed,)) for seed in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    workers = set(split_log)
+    assert len(workers) == 1 and not workers & {threading.main_thread(), *callers}
+    for seed, runs in got.items():
+        for run in runs:
+            _assert_same_bits(run, want[seed])
+
+
+def test_split_checks_inputs_before_the_worker_runs(split_log):
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 2)
+    layer = init_params(cfg, 0)
+    x = np.ones((8, 16, 2))
+    x[5, 3, 1] = np.nan
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        model_backward(x, np.zeros((8, 24, 2)), cfg, layer)
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        model_forward(x, cfg, layer, last=4)
+    with pytest.raises(ShapeError):
+        model_backward(np.ones((8, 16, 2)), np.zeros((7, 24, 2)), cfg, layer)
+    other = init_params(ModelConfig.for_forecast(16, 4, 4, 0, 2), 0)
+    with pytest.raises(ShapeError):
+        model_forward(np.ones((8, 16, 2)), cfg, other)
+    assert not split_log
+
+
+@pytest.mark.parametrize("fail_in", ["worker", "caller"])
+def test_split_raises_only_after_both_halves_finish(fail_in):
+    finished = []
+
+    def work(share):
+        worker = share is model._first_half
+        if (fail_in == "worker") == worker:
+            raise RuntimeError(f"{share.__name__} failed")
+        time.sleep(0.2)
+        finished.append(share.__name__)
+
+    failed = "_first_half" if fail_in == "worker" else "_second_half"
+    with pytest.raises(RuntimeError, match=failed):
+        model._in_halves(True, work)
+    assert finished == ["_second_half" if fail_in == "worker" else "_first_half"]
+
+
+@pytest.fixture()
+def blas_environment(monkeypatch):
+    """read(env, cpus): the split gate, read afresh under that environment and affinity."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+
+    def read(env, cpus):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        model._cpu_idle.cache_clear()
+        return model._cpu_idle()
+
+    yield read
+    model._cpu_idle.cache_clear()
+
+
+@pytest.mark.parametrize("env, cpus, idle", [
+    ({}, 2, False),  # OpenBLAS then runs one thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "2"}, 2, False),
+    ({"GOTO_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),  # 0 counts as unset
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),  # an affinity of one CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),  # a threaded BLAS rounds a product by its size
+])
+def test_split_gate_rules(blas_environment, env, cpus, idle):
+    assert blas_environment(env, cpus) is idle
+
+
+def test_split_needs_a_large_batch(blas_environment):
+    blas_environment({"OPENBLAS_NUM_THREADS": "1"}, 2)
+    assert not model._splits(2**16 - 1)
+    assert model._splits(2**16)
+
+
+@pytest.mark.parametrize("cfg, batch, starts", [
+    (ModelConfig.for_reconstruction(200, 4, 1), 64, False),  # detect-stream's batches
+    (ModelConfig.for_forecast(96, 96, 24, 2, 7), 64, False),
+    (ModelConfig.for_forecast(96, 96, 24, 2, 7, FORECAST), 64, False),
+    (ModelConfig.for_forecast(180, 96, 24, 4, 7), 64, True),
+])
+def test_only_large_batches_start_the_worker(monkeypatch, cfg, batch, starts):
+    monkeypatch.setattr(model, "_cpu_idle", lambda: True)
+    monkeypatch.setattr(model, "_pool", None)
+    _all_passes(cfg, batch, 91)
+    assert (model._pool is not None) is starts
+    if model._pool is not None:
+        model._pool.shutdown()
+
+
+def test_import_and_help_start_no_thread():
+    code = ("import threading, freqcast.cli\n"
+            "try:\n    freqcast.cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "print(threading.active_count())")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "1"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_computes_with_a_fresh_worker(split_log):
+    cfg = ModelConfig.for_forecast(48, 16, 12, 2, 3)
+    want = _all_passes(cfg, 8, 92)  # starts the worker in this process
+    assert split_log
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report whether it repeats the parent's bits
+        ok = 0
+        try:
+            _assert_same_bits(_all_passes(cfg, 8, 92), want)
+            ok = 1
+        finally:
+            os.write(write, bytes([ok]))
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in a split pass")
+        time.sleep(0.01)
+    assert os.read(read, 1) == b"\x01"
+    os.close(read)
 
 
 def test_forecast_only_supervision_needs_a_horizon():
