@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidValueError, ShapeError
-from .data import ArrayWindows, sliding_windows
+from .data import ArrayWindows
 from .model import ComplexLinear, ModelConfig, model_forward
 
 
@@ -55,24 +55,25 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     the series end so the tail is covered; every row is scored, and rows
     scored by two windows get their mean.
     """
-    series = np.asarray(series, dtype=np.float64)
-    view = sliding_windows(series, window)
     if not cfg.reconstructs(window, factor):
         raise InvalidArgumentError(
             f"model maps {cfg.input_len} -> {cfg.output_len}, but scoring asks "
             f"window {window} at factor {factor}"
         )
-    t = series.shape[0]
+    windows = reconstruction_windows(series, window, factor)
+    t = len(series)
     starts = np.arange(0, t - window + 1, window)
     if starts[-1] != t - window:
         starts = np.append(starts, t - window)
 
-    full = view[starts]
-    recon = model_forward(full[:, ::factor], cfg, layer)
+    inputs, full = windows.batch(starts)
+    # row-major, so each row's mean over channels adds in one order, as in `evaluate`
+    error = np.subtract(model_forward(inputs, cfg, layer), full, order="C")
+    row_error = np.mean(error**2, axis=2)
     total = np.zeros(t)
     hits = np.zeros(t)
-    for s, r, f in zip(starts, recon, full):
-        total[s : s + window] += np.mean((r - f) ** 2, axis=1)
+    for s, e in zip(starts, row_error):
+        total[s : s + window] += e
         hits[s : s + window] += 1.0
     return AnomalyScores(total / hits)
 

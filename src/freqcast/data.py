@@ -221,17 +221,6 @@ def standardize(frame: SeriesFrame, train_range: tuple[int, int]):
     return out, ChannelStats(mean, std)
 
 
-def sliding_windows(rows: np.ndarray, length: int) -> np.ndarray:
-    """Every stride-1 `length`-row window of a T x C block as a read-only
-    (T - length + 1, length, C) view; no value is copied."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"rows must be 2-D, got shape {rows.shape}")
-    if not 1 <= length <= rows.shape[0]:
-        raise InvalidLengthError(f"cannot cut {length}-row windows from {rows.shape[0]} rows")
-    return np.lib.stride_tricks.sliding_window_view(rows, length, axis=0).transpose(0, 2, 1)
-
-
 class ArrayWindows:
     """(input, target) window pairs, shaped (n, rows, C) each.
 
@@ -260,10 +249,14 @@ class ArrayWindows:
 
     def _cut(self, rows, length: int, input_rows: slice, target_rows: slice):
         rows = np.asarray(rows, dtype=np.float64)
-        # the windows of one channel-major (C, T) copy of the rows (no copy
-        # when they already are one), seen as (T, C) and turned to (n, C, length)
-        self._windows = self._input_windows = sliding_windows(
-            np.ascontiguousarray(rows.T).T, length).transpose(0, 2, 1)
+        if rows.ndim != 2:
+            raise ShapeError(f"rows must be 2-D, got shape {rows.shape}")
+        if not 1 <= length <= rows.shape[0]:
+            raise InvalidLengthError(f"cannot cut {length}-row windows from {rows.shape[0]} rows")
+        # read-only (n, C, length) windows of one channel-major (C, T) copy of
+        # the rows (no copy when they already are one)
+        self._windows = self._input_windows = np.lib.stride_tricks.sliding_window_view(
+            np.ascontiguousarray(rows.T), length, axis=1).transpose(1, 0, 2)
         self._input_rows, self._target_rows = input_rows, target_rows
         return self
 

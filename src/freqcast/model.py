@@ -34,16 +34,13 @@ partial derivatives with respect to the real/imag parts of the parameter;
 correctness is pinned by finite-difference checks in the test suite, and
 the spectral loss by its time-domain value.
 
-A large batch (at least 2^16 input values) is worked in two halves when BLAS
-runs on one thread and another CPU is free (`_splits`): one worker thread,
-started by the first such batch, takes the first half of the windows, and of
-W's rows for dW and W @ S, while the calling thread takes the rest. The
-halves cover the per-row work: the channel-major copy, normalization, FFTs,
-X W + b, the residual, W @ S and dW. Every sum across rows (the loss, db),
-G's scaling and the real GEMMs of the horizon route run once on the calling
-thread over the whole batch. The buffers belong to the calling thread, and
-each half writes only its own rows, so the outputs are the serial ones bit
-for bit.
+A batch of at least 2 windows and 2^16 input values is computed as two half
+batches, windows [0, n//2) and [n//2, n) (`_splits`): their losses and
+gradients are added, and their output rows joined. The halving depends on
+the batch alone, so the bits do not depend on where a half runs. The first
+half runs on one worker thread, started by the first such batch, when BLAS
+runs on one thread and another CPU is free (`_cpu_idle`), and on the calling
+thread otherwise. Each thread computes in its own scratch buffers.
 """
 
 from __future__ import annotations
@@ -71,9 +68,9 @@ from .spectral import cutoff_bins
 RIN_EPS = 1e-5
 # per-thread scratch arrays of the batch pipeline, see `_scratch`
 _buffers = threading.local()
-# a batch with fewer input values runs every pass on the calling thread alone
+# a batch with fewer input values is computed whole, see `_splits`
 _SPLIT_VALUES = 1 << 16
-_pool = None  # the worker thread of split passes, see `_worker`
+_pool = None  # the worker thread of half batches, see `_worker`
 _pool_lock = threading.Lock()
 
 
@@ -232,12 +229,12 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
 
     The buffer is kept and reused while later requests fit in it, so the
     batch loop does not fault in fresh pages for each batch. Contents are
-    undefined, and no function returns a view of one. A buffer belongs to the
-    thread that asked for it; during a split pass the worker fills a disjoint
-    row range of the caller's buffers. The buffers are: "work", the
-    normalized input rows and then the layer's output bins or their
-    gradient; "spectrum", the rows' spectrum; "target", the target's spectrum
-    and then the residual's, or the tail rows and then their residual.
+    undefined, and no function returns a view of one. Each thread owns its
+    buffers, so a half batch on the worker computes in the worker's. The
+    buffers are: "work", the normalized input rows and then the layer's
+    output bins or their gradient; "spectrum", the rows' spectrum; "target",
+    the target's spectrum and then the residual's, or the tail rows and then
+    their residual.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -264,21 +261,19 @@ def _blas_threads(environ) -> int | None:
 def _cpu_idle() -> bool:
     """Whether BLAS runs on one thread and leaves another usable CPU idle; read once.
 
-    A BLAS on more threads would compete for the CPU, and it cuts a product
-    among its threads by the product's size, so a half could round
-    differently from the same rows of the whole.
+    A BLAS on more threads would compete with the worker for the CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return _blas_threads(os.environ) == 1 and (cpus or 1) > 1
 
 
-def _splits(values: int) -> bool:
-    """Whether a batch of `values` input values runs its passes in two halves."""
-    return values >= _SPLIT_VALUES and _cpu_idle()
+def _splits(x3) -> bool:
+    """Whether a batch is computed as two half batches; its size alone decides."""
+    return x3.shape[0] >= 2 and x3.size >= _SPLIT_VALUES
 
 
 def _worker():
-    """The one worker thread of split passes, a ThreadPoolExecutor started by the first of them."""
+    """The one worker thread of half batches, a ThreadPoolExecutor started by the first of them."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -299,92 +294,55 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-# A pass's work is a function of `share`: share(count) is the slice of
-# range(count) that this call covers. A half of one row would take NumPy's
-# matrix-vector product, whose rounding differs from the matrix product's,
-# so a range of fewer than 4 goes to the second half whole.
-def _whole(count: int) -> slice:
-    return slice(0, count)
+def _halves(work, batch: int):
+    """(work(first), work(second)) for the two halves of a batch's windows, as slices.
 
-
-def _first_half(count: int) -> slice:
-    return slice(0, count // 2 if count >= 4 else 0)
-
-
-def _second_half(count: int) -> slice:
-    return slice(count // 2 if count >= 4 else 0, count)
-
-
-def _in_halves(split: bool, work) -> None:
-    """work(_whole) here, or work(_first_half) on the worker while work(_second_half) runs here.
-
-    Returns or raises only once both halves finished, so the worker never
-    writes into buffers after the call that owns them; an exception of the
-    worker's half re-raises here.
+    The first half runs on the worker when a CPU is idle, else here before
+    the second. Returns or raises only once both halves finished; an
+    exception of the worker's half re-raises here.
     """
-    if not split:
-        work(_whole)
-        return
-    future = _worker().submit(work, _first_half)
+    first, second = slice(0, batch // 2), slice(batch // 2, batch)
+    if not _cpu_idle():
+        return work(first), work(second)
+    future = _worker().submit(work, first)
     try:
-        work(_second_half)
+        rest = work(second)
     finally:
         future.exception()  # waits for the worker's half, raising nothing
-    future.result()
+    return future.result(), rest
 
 
-def _rows(windows: slice, channels: int) -> slice:
-    """The channel-major rows of a slice of windows."""
-    return slice(windows.start * channels, windows.stop * channels)
+def _check_finite(x3) -> None:
+    if not np.all(np.isfinite(x3)):
+        raise InvalidValueError("input window contains non-finite values")
 
 
 def _normalized_bins(x3, cfg: ModelConfig):
-    """Buffers for the kept input bins of the normalized windows, and their filler.
+    """Kept input bins of the normalized windows, in channel-major layout.
 
     One (batch*channels, timesteps) row per instance channel keeps the
     normalizer reductions contiguous and the layer contraction a single BLAS
-    matmul. Returns (kept, mean, std, normalize) with kept shaped
-    (batch*channels, n_in), a view of this thread's spectrum buffer.
-    normalize(windows) fills the rows of that slice of windows and no others,
-    and returns their own block of this thread's "work" buffer: it held their
-    normalized rows, contiguous, and is free once they are transformed. It
-    has room for 1 + n_out complex numbers a row (`_complex_rows`).
+    matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in),
+    a view of this thread's spectrum buffer.
     """
     batch, length, channels = x3.shape
-    if not np.all(np.isfinite(x3)):
-        raise InvalidValueError("input window contains non-finite values")
-    width = max(length, 2 * (1 + cfg.n_out))  # floats of "work" a row
-    work = _scratch("work", (batch * channels * width,))
+    rows = _scratch("work", (batch, channels, length))
+    np.copyto(rows, x3.transpose(0, 2, 1))
+    rows = rows.reshape(batch * channels, length)
     spectrum = _scratch("spectrum", (batch * channels, length // 2 + 1), np.complex128)
-    mean = np.empty((batch * channels, 1))
-    std = np.empty((batch * channels, 1))
-
-    def normalize(windows: slice) -> np.ndarray:
-        r = _rows(windows, channels)
-        mu, sd, spec = mean[r], std[r], spectrum[r]
-        block = work[r.start * width : r.stop * width]
-        rows = block[: (r.stop - r.start) * length].reshape(-1, length)
-        np.copyto(rows.reshape(-1, channels, length), x3[windows].transpose(0, 2, 1))
-        rows.mean(axis=-1, keepdims=True, out=mu)
-        # np.std's arithmetic, with the squares in the spectrum's storage:
-        # centre, square, pairwise-sum each row, divide by the count, sqrt
-        rows -= mu
-        squares = spec.view(np.float64)[:, :length]
-        np.multiply(rows, rows, out=squares)
-        squares.sum(axis=-1, keepdims=True, out=sd)
-        sd /= length
-        np.sqrt(sd, out=sd)
-        np.maximum(sd, RIN_EPS, out=sd)
-        rows /= sd
-        np.fft.rfft(rows, axis=-1, out=spec)
-        return block
-
-    return spectrum[:, 1 : 1 + cfg.n_in], mean, std, normalize
-
-
-def _complex_rows(block, rows: int, cols: int) -> np.ndarray:
-    """The start of a float block as a C-contiguous (rows, cols) complex array."""
-    return block[: 2 * rows * cols].view(np.complex128).reshape(rows, cols)
+    mean = rows.mean(axis=-1, keepdims=True)
+    # np.std's arithmetic, with the squares in the spectrum's storage:
+    # centre, square, pairwise-sum each row, divide by the count, sqrt
+    rows -= mean
+    squares = spectrum.view(np.float64)[:, :length]
+    np.multiply(rows, rows, out=squares)
+    std = squares.sum(axis=-1, keepdims=True)
+    std /= length
+    np.sqrt(std, out=std)
+    np.maximum(std, RIN_EPS, out=std)
+    rows /= std
+    np.fft.rfft(rows, axis=-1, out=spectrum)
+    return spectrum[:, 1 : 1 + cfg.n_in], mean, std
 
 
 def _layer_into(out, kept, layer: ComplexLinear):
@@ -394,23 +352,16 @@ def _layer_into(out, kept, layer: ComplexLinear):
     return out
 
 
-def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear, split: bool):
+def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
     """Full-window pipeline: the (batch*channels, output_len) output rows."""
-    kept, mean, std, normalize = _normalized_bins(x3, cfg)
-    yn = np.empty((kept.shape[0], cfg.output_len))
-
-    def synthesize(share):
-        windows = share(x3.shape[0])
-        r = _rows(windows, cfg.channels)
-        bins = _complex_rows(normalize(windows), r.stop - r.start, 1 + cfg.n_out)
-        # DC forced to 0; irfft zero-pads the bins above n_out itself
-        bins[:, 0] = 0.0
-        _layer_into(bins[:, 1:], kept[r], layer)
-        np.fft.irfft(bins, n=cfg.output_len, axis=-1, out=yn[r])
-        yn[r] *= std[r]
-        yn[r] += mean[r]
-
-    _in_halves(split, synthesize)
+    kept, mean, std = _normalized_bins(x3, cfg)
+    # DC forced to 0; irfft zero-pads the bins above n_out itself
+    bins = _scratch("work", (kept.shape[0], 1 + cfg.n_out), np.complex128)
+    bins[:, 0] = 0.0
+    _layer_into(bins[:, 1:], kept, layer)
+    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
+    yn *= std
+    yn += mean
     return yn
 
 
@@ -445,37 +396,33 @@ def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
     return adjoint
 
 
-def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int, split: bool):
+def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
     """The last `last` output rows only, with the layer folded into the synthesis.
 
     V = W @ S maps kept input bins straight to the tail timesteps, so
     Re(X V) is one real GEMM on the interleaved (re, im) view of the kept
-    bins; Re(b @ S) is the bias's share of every row. V is built once per
-    call, by halves of W's rows beside the normalization. The real GEMM runs
-    whole on this thread: OpenBLAS rounds some columns of a block of its rows
-    differently from the same rows of the whole product. Returns (y_rows,
-    kept, std) with y_rows (batch*channels, last) in this thread's "target"
-    buffer.
+    bins; Re(b @ S) is the bias's share of every row. Returns (y_rows, kept,
+    std) with y_rows (batch*channels, last) in this thread's "target" buffer.
     """
-    kept, mean, std, normalize = _normalized_bins(x3, cfg)
+    kept, mean, std = _normalized_bins(x3, cfg)
     synth = _tail_synthesis(cfg, last)
-    fold = np.empty((cfg.n_in, last), np.complex128)
+    fold = layer.weight @ synth
     real_fold = np.empty((2 * cfg.n_in, last))
-
-    def fold_and_normalize(share):
-        k = share(cfg.n_in)
-        np.matmul(layer.weight[k], synth, out=fold[k])
-        real_fold[2 * k.start : 2 * k.stop : 2] = fold[k].real
-        np.negative(fold[k].imag, out=real_fold[2 * k.start + 1 : 2 * k.stop : 2])
-        normalize(share(x3.shape[0]))
-
-    _in_halves(split, fold_and_normalize)
+    real_fold[0::2] = fold.real
+    real_fold[1::2] = -fold.imag
     yn = np.matmul(kept.view(np.float64), real_fold,
                    out=_scratch("target", (kept.shape[0], last)))
     yn += (layer.bias @ synth).real
     yn *= std
     yn += mean
     return yn, kept, std
+
+
+def _output_rows(x3, cfg: ModelConfig, layer: ComplexLinear, last: int) -> np.ndarray:
+    """The (batch*channels, last) output rows of a checked batch, in a new array."""
+    if last < cfg.output_len:
+        return _forward_tail(x3, cfg, layer, last)[0].copy()  # the rows are scratch
+    return _forward_rows(x3, cfg, layer)
 
 
 def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
@@ -494,58 +441,67 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
         raise InvalidArgumentError(
             f"last={last} outside the {cfg.output_len}-row output window"
         )
-    split = _splits(x3.size)
-    if last < cfg.output_len:
-        y_rows = _forward_tail(x3, cfg, layer, last, split)[0].copy()  # the rows are scratch
+    _check_finite(x3)
+    if _splits(x3):
+        y_rows = np.concatenate(
+            _halves(lambda w: _output_rows(x3[w], cfg, layer, last), len(x3)))
     else:
-        y_rows = _forward_rows(x3, cfg, layer, split)
+        y_rows = _output_rows(x3, cfg, layer, last)
     y = y_rows.reshape(x3.shape[0], cfg.channels, last).transpose(0, 2, 1)
     return y[0] if squeeze else y
 
 
-def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear, split: bool):
-    """Full-window loss from spectra: (loss, kept, std, R) with R = rfft(y - t).
+def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
+    """Full-window loss from spectra: (loss share, kept, std, R) with R = rfft(y - t).
 
     rfft(y) is std * [0, X W + b, 0...] plus n * mean at DC, with the Nyquist
     bin's imaginary part dropped as irfft drops it, so R needs one rfft of the
-    target and no inverse transform; Parseval gives the MSE.
+    target and no inverse transform; Parseval gives the squared error, which
+    is divided by the m supervised values of the whole batch.
     """
     n = cfg.output_len
     resid = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)
-    kept, mean, std, normalize = _normalized_bins(x3, cfg)
-
-    def residual(share):
-        windows = share(x3.shape[0])
-        r = _rows(windows, cfg.channels)
-        res = resid[r]
-        # channel-major target rows: a view when the batch was gathered channel-major
-        np.fft.rfft(t3[windows].transpose(0, 2, 1).reshape(-1, n), axis=-1, out=res)
-        block = normalize(windows)
-        np.negative(res, out=res)
-        res[:, 0] += n * mean[r, 0]
-        bins = _layer_into(_complex_rows(block, r.stop - r.start, cfg.n_out), kept[r], layer)
-        bins *= std[r]
-        if cfg.n_out == n // 2:
-            bins[:, -1].imag = 0.0
-        res[:, 1 : 1 + cfg.n_out] += bins
-
-    _in_halves(split, residual)
+    # channel-major target rows: a view when the batch was gathered channel-major
+    np.fft.rfft(t3.transpose(0, 2, 1).reshape(-1, n), axis=-1, out=resid)
+    kept, mean, std = _normalized_bins(x3, cfg)
+    np.negative(resid, out=resid)
+    resid[:, 0] += n * mean[:, 0]
+    layer_bins = _layer_into(_scratch("work", (kept.shape[0], cfg.n_out), np.complex128),
+                             kept, layer)
+    layer_bins *= std
+    if cfg.n_out == n // 2:
+        layer_bins[:, -1].imag = 0.0
+    resid[:, 1 : 1 + cfg.n_out] += layer_bins
     # DC and Nyquist appear once in a real signal's energy, every other bin twice
     energy = (2.0 * np.vdot(resid, resid).real - np.vdot(resid[:, 0], resid[:, 0]).real
               - np.vdot(resid[:, -1], resid[:, -1]).real)
-    return float(energy / (n * t3.size)), kept, std, resid
+    return float(energy / (n * m)), kept, std, resid
 
 
-def _weight_gradient(kept, g, split: bool) -> np.ndarray:
-    """dW = conj(kept).T @ g, by halves of dW's rows; conjugates kept (scratch) in place."""
-    d_weight = np.empty((kept.shape[1], g.shape[1]), np.complex128)
+def _loss_and_gradient(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
+    """(loss, dW, db) of a checked batch as its share of a loss over m supervised values."""
+    n = cfg.output_len
+    rows = cfg.target_rows
+    if rows == n:
+        loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, m)
+        g = resid[:, 1 : 1 + cfg.n_out]
+        # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
+        # bin and the instance std into one scaling
+        g *= (4.0 / (m * n)) * std
+        if cfg.n_out == n // 2:
+            # irfft ignores the imaginary part of the Nyquist bin and counts it once
+            g[:, -1] = g[:, -1].real * 0.5
+    else:
+        resid, kept, std = _forward_tail(x3, cfg, layer, rows)
+        resid.reshape(-1, cfg.channels, rows)[...] -= t3.transpose(0, 2, 1)
+        loss = float(np.vdot(resid, resid)) / m
+        resid *= (2.0 / m) * std
+        g = _scratch("work", (kept.shape[0], cfg.n_out), np.complex128)
+        np.matmul(resid, _tail_adjoint(cfg, rows), out=g.view(np.float64))
 
-    def rows_of_dw(share):
-        k = share(kept.shape[1])
-        np.matmul(np.conjugate(kept[:, k], out=kept[:, k]).T, g, out=d_weight[k])
-
-    _in_halves(split, rows_of_dw)
-    return d_weight
+    d_weight = np.conjugate(kept, out=kept).T @ g  # kept is scratch; conjugate it in place
+    d_bias = g.sum(axis=0)
+    return loss, d_weight, d_bias
 
 
 def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
@@ -557,34 +513,16 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     """
     _check_layer(cfg, layer)
     x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    rows = cfg.target_rows
-    t3, _ = _as_batch(target, rows, cfg.channels, f"{cfg.supervision.value} target")
+    t3, _ = _as_batch(target, cfg.target_rows, cfg.channels,
+                      f"{cfg.supervision.value} target")
     if t3.shape[0] != x3.shape[0]:
         raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
-
-    split = _splits(x3.size)
-    n = cfg.output_len
-    m = t3.size
-    if rows == n:
-        loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, split)
-        g = resid[:, 1 : 1 + cfg.n_out]
-        # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
-        # bin and the instance std into one scaling
-        g *= (4.0 / (m * n)) * std
-        if cfg.n_out == n // 2:
-            # irfft ignores the imaginary part of the Nyquist bin and counts it once
-            g[:, -1] = g[:, -1].real * 0.5
-    else:
-        resid, kept, std = _forward_tail(x3, cfg, layer, rows, split)
-        resid.reshape(-1, cfg.channels, rows)[...] -= t3.transpose(0, 2, 1)
-        loss = float(np.vdot(resid, resid)) / m
-        resid *= (2.0 / m) * std
-        g = _scratch("work", (kept.shape[0], cfg.n_out), np.complex128)  # rows are spent
-        np.matmul(resid, _tail_adjoint(cfg, rows), out=g.view(np.float64))
-
-    d_weight = _weight_gradient(kept, g, split)
-    d_bias = g.sum(axis=0)
-    return loss, d_weight, d_bias
+    _check_finite(x3)
+    if not _splits(x3):
+        return _loss_and_gradient(x3, t3, cfg, layer, t3.size)
+    first, second = _halves(
+        lambda w: _loss_and_gradient(x3[w], t3[w], cfg, layer, t3.size), len(x3))
+    return tuple(a + b for a, b in zip(first, second))
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ComplexLinear:

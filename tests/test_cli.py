@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -598,19 +599,20 @@ def test_commands_in_one_process_repeat_bytes(tmp_path, sine_csv, synth_stream):
 
 
 def _split_and_serial_runs(tmp_path, monkeypatch, argv):
-    """The run directories of argv with the model's split forced on, then off."""
-    worker_halves = []
-    first_half = model._first_half
-    monkeypatch.setattr(model, "_first_half",
-                        lambda count: worker_halves.append(count) or first_half(count))
+    """The run directories of argv with every batch halved, on the worker, then on the caller."""
+    threads = set()
+    normalized_bins = model._normalized_bins
+    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.add(
+        threading.current_thread()) or normalized_bins(x3, cfg))
+    monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
     runs = []
-    for split in (True, False):
-        monkeypatch.setattr(model, "_splits", lambda values: split)
-        out = tmp_path / f"split-{split}"
+    for worker in (True, False):
+        monkeypatch.setattr(model, "_cpu_idle", lambda: worker)
+        out = tmp_path / f"worker-{worker}"
         assert main([*argv, "--out", str(out)]) == 0
         runs += run_dirs(out)
-        assert bool(worker_halves) is split
-        worker_halves.clear()
+        assert (threads != {threading.main_thread()}) is worker
+        threads.clear()
     return runs
 
 

@@ -97,8 +97,7 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     rng = np.random.default_rng(40 + channels)
     x = rng.normal(3.0, 2.0, size=(5, 24, channels))
     before = x.copy()
-    kept, mean, std, normalize = _normalized_bins(x, cfg)
-    normalize(slice(0, len(x)))
+    kept, mean, std = _normalized_bins(x, cfg)
     assert np.array_equal(x, before)
 
     xn, state = rin_normalize(x)
@@ -116,8 +115,7 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     # channel and on one offset by 1e6 too
     x[0, :, 0] = 7.25
     x[1, :, -1] += 1e6
-    _, mean, std, normalize = _normalized_bins(x, cfg)
-    normalize(slice(0, len(x)))
+    _, mean, std = _normalized_bins(x, cfg)
     assert np.array_equal(mean, np.mean(rows(x), axis=-1, keepdims=True))
     assert np.array_equal(std, np.maximum(np.std(rows(x), axis=-1, keepdims=True), RIN_EPS))
     assert std[0, 0] == RIN_EPS
@@ -347,22 +345,25 @@ def test_gradient_forecast_only_supervision():
     ModelConfig.for_forecast(32, 8, 8, 1, 2, Supervision.FORECAST_ONLY),  # 15 -> 18 of 20
 ], ids=["bf-nyquist", "bf-below-nyquist", "reconstruction", "forecast-only",
         "forecast-only-below-nyquist"])
-def test_backward_matches_time_domain_oracle(cfg):
+def test_backward_matches_time_domain_oracle(monkeypatch, cfg):
     # the full-window loss is computed from spectra and the forecast-only loss
     # through the tail synthesis; the oracle is the time-domain MSE of the
-    # full forward pass, and finite differences of the loss
+    # full forward pass, and finite differences of the loss, with the batch
+    # computed whole and as two half batches
     rows = cfg.target_rows
     rng = np.random.default_rng(cfg.output_len + rows)
     layer = init_params(cfg, 37)
     layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
     x = rng.normal(size=(3, cfg.input_len, cfg.channels)) * 2.0 + 5.0
     t = rng.normal(size=(3, rows, cfg.channels)) * 2.0 + 4.0
-    loss, dw, db = model_backward(x, t, cfg, layer)
-    want = np.mean((model_forward(x, cfg, layer)[:, -rows:] - t) ** 2)
-    assert abs(loss - want) <= 1e-12 * want
-    fdw, fdb = finite_diff_grads(x, t, cfg, layer)
-    assert max_rel_err(dw, fdw) < 1e-4
-    assert max_rel_err(db, fdb) < 1e-4
+    for halves in (False, True):
+        monkeypatch.setattr(model, "_splits", lambda x3: halves)
+        loss, dw, db = model_backward(x, t, cfg, layer)
+        want = np.mean((model_forward(x, cfg, layer)[:, -rows:] - t) ** 2)
+        assert abs(loss - want) <= 1e-12 * want
+        fdw, fdb = finite_diff_grads(x, t, cfg, layer)
+        assert max_rel_err(dw, fdw) < 1e-4
+        assert max_rel_err(db, fdb) < 1e-4
 
 
 def test_gradient_linear_in_residual():
@@ -462,23 +463,29 @@ def test_threads_compute_the_main_threads_bits():
             _assert_same_bits(run, want[seed])
 
 
-# --- split passes --------------------------------------------------------------------
+# --- half batches --------------------------------------------------------------------
 
 FORECAST = Supervision.FORECAST_ONLY
 
 
+def _halve_every_batch(monkeypatch):
+    # a batch of two or more windows is computed as two half batches
+    monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
+
+
 @pytest.fixture()
 def split_log(monkeypatch):
-    """Force the split on; the list records the thread of every worker half."""
+    """Halve every batch, on the worker; the list records the thread of every pass."""
     threads = []
-    first_half = model._first_half
+    normalized_bins = model._normalized_bins
 
-    def logged(count):
+    def logged(x3, cfg):
         threads.append(threading.current_thread())
-        return first_half(count)
+        return normalized_bins(x3, cfg)
 
-    monkeypatch.setattr(model, "_splits", lambda values: True)
-    monkeypatch.setattr(model, "_first_half", logged)
+    _halve_every_batch(monkeypatch)
+    monkeypatch.setattr(model, "_cpu_idle", lambda: True)
+    monkeypatch.setattr(model, "_normalized_bins", logged)
     return threads
 
 
@@ -488,21 +495,42 @@ def split_log(monkeypatch):
     (ModelConfig.for_forecast(48, 16, 12, 2, 3, FORECAST), 9),
     (ModelConfig.for_forecast(32, 8, 8, 0, 1, FORECAST), 5),  # forecast-only at Nyquist
     (ModelConfig.for_reconstruction(200, 4, 1), 64),  # the detect-stream model
-    (ModelConfig.for_reconstruction(40, 4, 2), 1),  # one window: only dW's rows split
+    (ModelConfig.for_reconstruction(40, 4, 2), 1),  # one window: never halved
     (ModelConfig.for_forecast(96, 96, 24, 2, 7), 11),
     (ModelConfig.for_forecast(96, 96, 24, 2, 7, FORECAST), 6),
-    (ModelConfig.for_forecast(6, 2, 1, 0, 2), 4),  # n_in = 3: dW's rows stay whole
+    (ModelConfig.for_forecast(6, 2, 1, 0, 2), 4),  # a 3-row layer
     (ModelConfig.for_reconstruction(2, 1, 3), 5),  # a 1x1 layer
 ], ids=lambda v: str(v) if isinstance(v, int) else
        f"L{v.input_len}-O{v.output_len}-h{v.harmonic}-C{v.channels}-{v.supervision.value}")
 def test_split_passes_repeat_the_serial_bits(monkeypatch, split_log, cfg, batch):
-    monkeypatch.setattr(model, "_splits", lambda values: False)
+    # the worker takes the first half or leaves it to the caller: the same bits
+    monkeypatch.setattr(model, "_cpu_idle", lambda: False)
     serial = _all_passes(cfg, batch, 90)
-    assert not split_log
-    monkeypatch.setattr(model, "_splits", lambda values: True)
+    assert split_log and all(t is threading.main_thread() for t in split_log)
+    split_log.clear()
+    monkeypatch.setattr(model, "_cpu_idle", lambda: True)
     split = _all_passes(cfg, batch, 90)
-    assert split_log and all(t is not threading.main_thread() for t in split_log)
+    assert (set(split_log) != {threading.main_thread()}) is (batch >= 2)
     _assert_same_bits(split, serial)
+
+
+@pytest.mark.parametrize("cfg, batch", [
+    (ModelConfig.for_forecast(48, 16, 12, 2, 3), 8),
+    (ModelConfig.for_forecast(32, 8, 8, 0, 2), 7),
+    (ModelConfig.for_forecast(48, 16, 12, 2, 3, FORECAST), 9),
+    (ModelConfig.for_forecast(32, 8, 8, 0, 1, FORECAST), 5),
+    (ModelConfig.for_reconstruction(200, 4, 1), 64),
+])
+def test_halves_match_the_whole_batch(monkeypatch, cfg, batch):
+    # the sums of the halves' loss, dW and db, and their joined forward rows,
+    # agree with the whole batch's to rounding
+    monkeypatch.setattr(model, "_splits", lambda x3: False)
+    whole = _all_passes(cfg, batch, 93)
+    _halve_every_batch(monkeypatch)
+    halves = _all_passes(cfg, batch, 93)
+    for got, want in zip(halves, whole):
+        for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_callers_share_the_worker(split_log):
@@ -524,18 +552,19 @@ def test_callers_share_the_worker(split_log):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    workers = set(split_log)
-    assert len(workers) == 1 and not workers & {threading.main_thread(), *callers}
+    workers = set(split_log) - {threading.main_thread(), *callers}
+    assert len(workers) == 1
     for seed, runs in got.items():
         for run in runs:
             _assert_same_bits(run, want[seed])
 
 
-def test_split_checks_inputs_before_the_worker_runs(split_log):
+def test_split_checks_inputs_before_the_worker_runs(monkeypatch, split_log):
+    monkeypatch.setattr(model, "_pool", None)
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 2)
     layer = init_params(cfg, 0)
     x = np.ones((8, 16, 2))
-    x[5, 3, 1] = np.nan
+    x[1, 3, 1] = np.nan  # in the first half, the worker's
     with pytest.raises(InvalidValueError, match="non-finite"):
         model_backward(x, np.zeros((8, 24, 2)), cfg, layer)
     with pytest.raises(InvalidValueError, match="non-finite"):
@@ -545,29 +574,30 @@ def test_split_checks_inputs_before_the_worker_runs(split_log):
     other = init_params(ModelConfig.for_forecast(16, 4, 4, 0, 2), 0)
     with pytest.raises(ShapeError):
         model_forward(np.ones((8, 16, 2)), cfg, other)
-    assert not split_log
+    assert not split_log and model._pool is None
 
 
 @pytest.mark.parametrize("fail_in", ["worker", "caller"])
-def test_split_raises_only_after_both_halves_finish(fail_in):
+def test_split_raises_only_after_both_halves_finish(monkeypatch, fail_in):
+    monkeypatch.setattr(model, "_cpu_idle", lambda: True)
     finished = []
 
-    def work(share):
-        worker = share is model._first_half
-        if (fail_in == "worker") == worker:
-            raise RuntimeError(f"{share.__name__} failed")
+    def work(windows):
+        half = "first" if windows.start == 0 else "second"
+        if (fail_in == "worker") == (half == "first"):
+            raise RuntimeError(f"{half} half failed")
         time.sleep(0.2)
-        finished.append(share.__name__)
+        finished.append(half)
 
-    failed = "_first_half" if fail_in == "worker" else "_second_half"
+    failed = "first" if fail_in == "worker" else "second"
     with pytest.raises(RuntimeError, match=failed):
-        model._in_halves(True, work)
-    assert finished == ["_second_half" if fail_in == "worker" else "_first_half"]
+        model._halves(work, 8)
+    assert finished == ["second" if fail_in == "worker" else "first"]
 
 
 @pytest.fixture()
 def blas_environment(monkeypatch):
-    """read(env, cpus): the split gate, read afresh under that environment and affinity."""
+    """read(env, cpus): the worker's gate, read afresh under that environment and affinity."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
 
@@ -594,16 +624,21 @@ def blas_environment(monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2, False),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),  # an affinity of one CPU
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),  # a threaded BLAS rounds a product by its size
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),  # a threaded BLAS would compete for the CPUs
 ])
 def test_split_gate_rules(blas_environment, env, cpus, idle):
     assert blas_environment(env, cpus) is idle
 
 
-def test_split_needs_a_large_batch(blas_environment):
-    blas_environment({"OPENBLAS_NUM_THREADS": "1"}, 2)
-    assert not model._splits(2**16 - 1)
-    assert model._splits(2**16)
+def test_split_needs_a_large_batch():
+    # the batch's size alone decides, whatever the worker's gate reads
+    def batch(*shape):
+        return np.broadcast_to(0.0, shape)
+
+    assert not model._splits(batch(2, 2**15 - 1, 1))
+    assert model._splits(batch(2, 2**15, 1))
+    assert not model._splits(batch(1, 720, 100))  # one window is never halved
+    assert model._splits(batch(2, 720, 100))
 
 
 @pytest.mark.parametrize("cfg, batch, starts", [
@@ -635,7 +670,7 @@ def test_import_and_help_start_no_thread():
 def test_forked_child_computes_with_a_fresh_worker(split_log):
     cfg = ModelConfig.for_forecast(48, 16, 12, 2, 3)
     want = _all_passes(cfg, 8, 92)  # starts the worker in this process
-    assert split_log
+    assert set(split_log) != {threading.main_thread()}
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report whether it repeats the parent's bits
@@ -652,7 +687,7 @@ def test_forked_child_computes_with_a_fresh_worker(split_log):
         if time.monotonic() > deadline:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in a split pass")
+            pytest.fail("the forked child hung in a half batch")
         time.sleep(0.01)
     assert os.read(read, 1) == b"\x01"
     os.close(read)
