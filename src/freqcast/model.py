@@ -372,8 +372,9 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     Row j-1 is 2/n * exp(2 pi i j t / n) for the last `last` timesteps t; when
     the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
     irfft ignores that bin's imaginary part. Cached per (cfg, last), so the
-    table is read-only. Used by `model_forward(..., last)` (so by `evaluate`) and,
-    through `_tail_adjoint`, by forecast-only `model_backward`.
+    table is read-only. Used by `model_forward(..., last)` (so by `evaluate`),
+    by `training.validation_statistics` and, through `_tail_adjoint`, by
+    forecast-only `model_backward`.
     """
     n = cfg.output_len
     t = np.arange(n - last, n)
@@ -389,30 +390,41 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
 def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
     """S^H as (last, 2 n_out) reals (Re S_j, -Im S_j): r @ it, viewed complex, is r @ S^H.
 
-    `_forward_tail` builds the same real form (transposed) of W @ S.
+    `_real_fold` builds the same real form (transposed) of W @ S.
     """
     adjoint = _tail_synthesis(cfg, last).conj().T.copy().view(np.float64)
     adjoint.flags.writeable = False
     return adjoint
 
 
+def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
+    """The layer folded into the synthesis S, as (2 n_in + 1, last) reals V.
+
+    Rows 2i and 2i+1 are Re and -Im of row i of W @ S, and the last row is
+    Re(b @ S), so for kept bins x viewed as interleaved (re, im) pairs,
+    [x, 1] @ V = Re((x @ W + b) @ S).
+    """
+    fold = layer.weight @ synth
+    real = np.empty((2 * fold.shape[0] + 1, synth.shape[1]))
+    real[0:-1:2] = fold.real
+    real[1:-1:2] = -fold.imag
+    real[-1] = (layer.bias @ synth).real
+    return real
+
+
 def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
     """The last `last` output rows only, with the layer folded into the synthesis.
 
-    V = W @ S maps kept input bins straight to the tail timesteps, so
-    Re(X V) is one real GEMM on the interleaved (re, im) view of the kept
-    bins; Re(b @ S) is the bias's share of every row. Returns (y_rows, kept,
-    std) with y_rows (batch*channels, last) in this thread's "target" buffer.
+    `_real_fold` maps kept input bins straight to the tail timesteps, so the
+    rows are one real GEMM on the interleaved (re, im) view of the kept bins
+    plus the bias's share of every row. Returns (y_rows, kept, std) with
+    y_rows (batch*channels, last) in this thread's "target" buffer.
     """
     kept, mean, std = _normalized_bins(x3, cfg)
-    synth = _tail_synthesis(cfg, last)
-    fold = layer.weight @ synth
-    real_fold = np.empty((2 * cfg.n_in, last))
-    real_fold[0::2] = fold.real
-    real_fold[1::2] = -fold.imag
-    yn = np.matmul(kept.view(np.float64), real_fold,
+    fold = _real_fold(layer, _tail_synthesis(cfg, last))
+    yn = np.matmul(kept.view(np.float64), fold[:-1],
                    out=_scratch("target", (kept.shape[0], last)))
-    yn += (layer.bias @ synth).real
+    yn += fold[-1]
     yn *= std
     yn += mean
     return yn, kept, std

@@ -6,6 +6,11 @@ The optimization problem is linear least squares in the layer parameters
 the 2N real scalars behind the complex parameters converges reliably; the
 test suite checks the trained loss against the closed-form normal-equations
 optimum on a small instance.
+
+The same fact makes a layer's validation MSE a quadratic form in (W, b). A
+fit that may run more than one epoch takes the validation set's statistics
+once (`validation_statistics`) and scores every epoch from them; only the
+restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import data as dat
+from . import model as mdl
 from .errors import InvalidArgumentError, ParseError, ShapeError, TrainingDivergedError
 from .model import (
     ComplexLinear,
@@ -112,7 +118,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 @dataclass(frozen=True)
 class EpochStats:
     """One epoch's losses; `improved` marks a new best val MSE, whose
-    parameters `train` kept (see `restored_epoch`)."""
+    parameters `train` kept (see `restored_epoch`).
+
+    In a fit with more than one epoch allowed, val_mse comes from the
+    validation statistics (`ValStatistics.mse`) and val_mae is NaN (not
+    measured), except at the restored epoch, whose val_mse and val_mae are
+    `evaluate`'s of the kept layer. A one-epoch fit takes both from `evaluate`.
+    """
 
     epoch: int
     train_mse: float
@@ -126,6 +138,17 @@ def restored_epoch(history) -> EpochStats:
     return next(h for h in reversed(history) if h.improved)
 
 
+def _scored_rows(windows, eval_steps: int | None) -> int:
+    """The number of trailing target rows that scoring compares."""
+    if len(windows) == 0:
+        raise InvalidArgumentError("cannot evaluate on an empty window set")
+    rows = windows.targets.shape[1]
+    k = rows if eval_steps is None else eval_steps
+    if not 1 <= k <= rows:
+        raise InvalidArgumentError(f"eval_steps={eval_steps} outside the {rows}-row target")
+    return k
+
+
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
              eval_steps: int | None = None):
     """(MSE, MAE) over the trailing eval_steps rows of prediction and target.
@@ -135,12 +158,7 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
     otherwise (the reconstruction case). Only the compared rows are
     predicted, EVAL_BATCH windows at a time.
     """
-    if len(windows) == 0:
-        raise InvalidArgumentError("cannot evaluate on an empty window set")
-    rows = windows.targets.shape[1]
-    k = rows if eval_steps is None else eval_steps
-    if not 1 <= k <= rows:
-        raise InvalidArgumentError(f"eval_steps={eval_steps} outside the {rows}-row target")
+    k = _scored_rows(windows, eval_steps)
     sq = 0.0
     ab = 0.0
     count = 0
@@ -154,6 +172,69 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
     return sq / count, ab / count
 
 
+@dataclass(frozen=True)
+class ValStatistics:
+    """The squared error of any layer over a window set's scored rows, as a
+    quadratic form in the layer.
+
+    Each instance channel has a row z = std * [kept bins as (re, im) pairs, 1]
+    and centred targets u = t - mean over the k scored rows. With
+    V = `model._real_fold(layer, synth)` the error rows are z @ V - u, so
+    their squares sum to e - 2<V, C> + <V, H V> with H = sum z^T z (gram),
+    C = sum z^T u (cross) and e = sum |u|^2 (energy), over `count` values.
+    """
+
+    synth: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    energy: float
+    count: int
+
+    def mse(self, layer: ComplexLinear) -> float:
+        """The layer's MSE; it agrees with `evaluate`'s to rounding, not bit for bit."""
+        fold = mdl._real_fold(layer, self.synth)
+        sq = (self.energy - 2.0 * float(np.vdot(fold, self.cross))
+              + float(np.vdot(fold, self.gram @ fold)))
+        # an exact fit can round below zero
+        return max(sq, 0.0) / self.count
+
+
+def validation_statistics(cfg: ModelConfig, windows,
+                          eval_steps: int | None = None) -> ValStatistics:
+    """The `ValStatistics` of the rows `evaluate(cfg, ., windows, eval_steps)` scores.
+
+    One pass over the windows in `evaluate`'s EVAL_BATCH slices, with the
+    model's input checks; a large slice is taken as two half batches, as the
+    model takes it, whose sums are added in one order wherever they ran.
+    """
+    k = _scored_rows(windows, eval_steps)
+    synth = mdl._tail_synthesis(cfg, k)
+    width = 2 * cfg.n_in + 1
+    gram, cross, energy = np.zeros((width, width)), np.zeros((width, k)), 0.0
+
+    def moments(x3, t3):
+        kept, mean, std = mdl._normalized_bins(x3, cfg)
+        z = np.empty((kept.shape[0], width))
+        np.multiply(kept.view(np.float64), std, out=z[:, :-1])
+        z[:, -1:] = std
+        u = t3[:, -k:, :].transpose(0, 2, 1).reshape(-1, k) - mean
+        return z.T @ z, z.T @ u, float(np.vdot(u, u))
+
+    for lo in range(0, len(windows), EVAL_BATCH):
+        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
+        x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
+        mdl._check_finite(x3)
+        if mdl._splits(x3):
+            parts = mdl._halves(lambda w: moments(x3[w], t[w]), len(x3))
+        else:
+            parts = (moments(x3, t),)
+        for h, c, e in parts:
+            gram += h
+            cross += c
+            energy += e
+    return ValStatistics(synth, gram, cross, energy, len(windows) * k * cfg.channels)
+
+
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
           spec: TrainSpec, eval_steps: int | None = None):
     """Train with seeded shuffling and early stopping on the validation MSE.
@@ -162,9 +243,19 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     improved the best validation MSE by at least 1e-6 relative are restored
     (`restored_epoch(history)`); training stops once `patience` epochs pass
     without such an improvement.
+
+    When spec.max_epochs > 1, each epoch's val MSE comes from statistics
+    taken once before the first epoch (`validation_statistics`), and after
+    the loop the restored epoch alone is scored by `evaluate`, whose MSE and
+    MAE replace its entry. The other epochs' val MSE agrees with `evaluate`'s
+    to rounding, so a stopping decision could differ from one made on
+    `evaluate` only within rounding of the 1e-6 threshold. A one-epoch fit
+    makes no such decision and scores its epoch by `evaluate` alone.
     """
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise InvalidArgumentError("train and validation window sets must be nonempty")
+    val_stats = (validation_statistics(cfg, val_windows, eval_steps)
+                 if spec.max_epochs > 1 else None)
     rng = np.random.default_rng(spec.seed)
     theta = pack_params(layer)
     view = unpack_params(theta, cfg)  # Adam updates theta in place, so the view tracks it
@@ -193,7 +284,10 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             adam_step(theta, grads, adam, spec)
             loss_sum += loss * idx.size
         train_mse = loss_sum / n
-        val_mse, val_mae = evaluate(cfg, view, val_windows, eval_steps)
+        if val_stats is None:
+            val_mse, val_mae = evaluate(cfg, view, val_windows, eval_steps)
+        else:
+            val_mse, val_mae = val_stats.mse(view), math.nan
         if not math.isfinite(val_mse):
             raise TrainingDivergedError(f"non-finite validation MSE at epoch {epoch}: {val_mse}")
         improved = val_mse < best_val * (1.0 - MIN_RELATIVE_IMPROVEMENT)
@@ -206,7 +300,12 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             stale += 1
             if stale >= spec.patience:
                 break
-    return unpack_params(best_theta, cfg).copy(), history
+    best = unpack_params(best_theta, cfg).copy()
+    if val_stats is not None:
+        restored = restored_epoch(history)
+        val_mse, val_mae = evaluate(cfg, best, val_windows, eval_steps)
+        history[restored.epoch - 1] = replace(restored, val_mse=val_mse, val_mae=val_mae)
+    return best, history
 
 
 @dataclass(frozen=True)

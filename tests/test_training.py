@@ -2,15 +2,22 @@
 least-squares oracle for the (linear) optimization problem."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcast import training
-from freqcast.data import ArrayWindows, DatasetProfile, SeriesFrame, SplitRule
-from freqcast.errors import InvalidArgumentError, ShapeError, TrainingDivergedError
+from freqcast import model, training
+from freqcast.anomaly import reconstruction_windows
+from freqcast.data import ArrayWindows, DatasetProfile, SeriesFrame, SplitRule, synth_anomaly
+from freqcast.errors import (
+    InvalidArgumentError,
+    InvalidValueError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from freqcast.model import (
     ComplexLinear,
     ModelConfig,
@@ -188,11 +195,19 @@ def test_train_restored_epoch_reproduces_val_exactly():
 
 
 def test_train_rejects_non_finite_val(monkeypatch):
-    monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: (math.nan, math.nan))
+    monkeypatch.setattr(training.ValStatistics, "mse", lambda self, layer: math.nan)
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
     windows = _window_pair(np.arange(60.0)[:, None], 16, 8, 30)
     with pytest.raises(TrainingDivergedError, match="validation"):
         train(cfg, init_params(cfg, 0), windows, windows, TrainSpec())
+
+
+def test_one_epoch_train_rejects_non_finite_val(monkeypatch):
+    monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: (math.nan, math.nan))
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
+    windows = _window_pair(np.arange(60.0)[:, None], 16, 8, 30)
+    with pytest.raises(TrainingDivergedError, match="validation"):
+        train(cfg, init_params(cfg, 0), windows, windows, TrainSpec(max_epochs=1))
 
 
 @pytest.mark.parametrize("eval_steps", [8, 3, None])
@@ -291,6 +306,201 @@ def test_trained_mse_near_normal_equations_optimum():
     assert trained_mse <= optimal_mse * 1.05
 
 
+# --- validation statistics ------------------------------------------------------
+
+def _forecast_windows(rows, cfg):
+    target = slice(cfg.input_len, None) if cfg.target_rows == cfg.horizon else slice(None)
+    return ArrayWindows.cut(rows, cfg.output_len, slice(0, cfg.input_len), target)
+
+
+def _geometry(name):
+    """(cfg, val windows, eval_steps) of one scoring geometry."""
+    rng = np.random.default_rng(40)
+    if name == "detect":  # window 200, factor 4: the layer reaches the Nyquist bin
+        series, _ = synth_anomaly(560, 1, 0.05, 3)
+        cfg = ModelConfig.for_reconstruction(200, 4, 1)
+        return cfg, reconstruction_windows(series.values, 200, 4), None
+    if name == "tail-forecast-only":
+        cfg = ModelConfig.for_forecast(48, 16, 12, 2, 1, Supervision.FORECAST_ONLY)
+        steps = 16
+    elif name == "tail-backcast+forecast":
+        cfg = ModelConfig.for_forecast(48, 16, 12, 2, 1)
+        steps = 16
+    elif name == "channels-whole-window":
+        cfg = ModelConfig.for_forecast(32, 8, 8, 1, 3)
+        steps = None
+    elif name == "channels-tail":
+        cfg = ModelConfig.for_forecast(32, 8, 8, 1, 3)
+        steps = 5
+    else:  # "split": 64 windows x 256 rows x 4 channels is 2^16 values
+        cfg = ModelConfig.for_forecast(256, 32, 24, 1, 4, Supervision.FORECAST_ONLY)
+        steps = 32
+    rows = 0.1 * np.cumsum(rng.normal(size=(cfg.output_len + 89, cfg.channels)), axis=0)
+    rows += np.sin(2 * np.pi * np.arange(len(rows)) / cfg.period)[:, None]
+    return cfg, _forecast_windows(rows, cfg), steps
+
+
+GEOMETRIES = ["detect", "tail-forecast-only", "tail-backcast+forecast",
+              "channels-whole-window", "channels-tail", "split"]
+
+
+def _least_squares_layer(cfg, stats):
+    """The layer minimizing the statistics' quadratic form.
+
+    The fold is linear in the layer's real parameters, so the optimum solves
+    their normal equations, built from the gram and cross terms. Over the
+    whole output window the synthesis rows are orthogonal, so each output bin
+    is solved alone.
+    """
+    steps = stats.synth.shape[1]
+    groups = ([[j] for j in range(cfg.n_out)] if steps == cfg.output_len
+              else [range(cfg.n_out)])
+    weight = np.zeros((cfg.n_in, cfg.n_out), complex)
+    bias = np.zeros(cfg.n_out, complex)
+    for group in groups:
+        units, folds = [], []
+        for j in group:
+            for i in range(cfg.n_in + 1):  # row n_in stands for the bias
+                for unit in (1.0, 1j):
+                    column, b = np.zeros((cfg.n_in, 1), complex), np.zeros(1, complex)
+                    if i < cfg.n_in:
+                        column[i] = unit
+                    else:
+                        b[0] = unit
+                    folds.append(model._real_fold(ComplexLinear(column, b),
+                                                  stats.synth[j : j + 1]))
+                    units.append((i, j, unit))
+        v = np.array(folds)
+        flat = v.reshape(len(v), -1)
+        normal = flat @ np.matmul(stats.gram, v).reshape(len(v), -1).T
+        rhs = flat @ stats.cross.ravel()
+        theta = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+        for (i, j, unit), value in zip(units, theta):
+            if i < cfg.n_in:
+                weight[i, j] += value * unit
+            else:
+                bias[j] += value * unit
+    return ComplexLinear(weight, bias)
+
+
+def _layers(kind, cfg, windows, steps, stats):
+    if kind == "random":
+        rng = np.random.default_rng(7)
+        return [ComplexLinear(rng.normal(size=(cfg.n_in, cfg.n_out))
+                              + 1j * rng.normal(size=(cfg.n_in, cfg.n_out)),
+                              rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out))
+                for _ in range(3)] + [init_params(cfg, 1)]
+    if kind == "adam":
+        spec = TrainSpec(learning_rate=1e-2, batch_size=16, max_epochs=1)
+        return [train(cfg, init_params(cfg, 0), windows, windows, spec, steps)[0]]
+    return [_least_squares_layer(cfg, stats)]
+
+
+@pytest.mark.parametrize("kind", ["random", "adam", "least-squares"])
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_val_statistics_mse_matches_evaluate(name, kind):
+    cfg, windows, steps = _geometry(name)
+    stats = training.validation_statistics(cfg, windows, steps)
+    for layer in _layers(kind, cfg, windows, steps, stats):
+        want, _ = evaluate(cfg, layer, windows, steps)
+        assert abs(stats.mse(layer) - want) <= 1e-12 * want
+        if kind == "least-squares":  # a close fit, so e - 2<V, C> cancels most of <V, H V>
+            assert want < 0.2 * stats.energy / stats.count
+
+
+def test_val_statistics_do_not_depend_on_the_worker(monkeypatch):
+    cfg, windows, steps = _geometry("split")  # its first slice splits, on the worker if idle
+    threads = set()
+    bins = model._normalized_bins
+
+    def logged(x3, cfg):
+        threads.add(threading.current_thread())
+        return bins(x3, cfg)
+
+    monkeypatch.setattr(model, "_normalized_bins", logged)
+    results = []
+    for idle in (False, True):
+        monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
+        threads.clear()
+        results.append(training.validation_statistics(cfg, windows, steps))
+        assert (threads != {threading.main_thread()}) is idle
+    serial, split = results
+    assert np.array_equal(serial.gram, split.gram)
+    assert np.array_equal(serial.cross, split.cross)
+    assert serial.energy == split.energy and serial.count == split.count
+
+
+def test_val_statistics_check_the_windows():
+    cfg, windows, steps = _geometry("tail-forecast-only")
+    inputs = windows.inputs.copy()
+    inputs[-1, 3, 0] = np.nan
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        training.validation_statistics(cfg, ArrayWindows(inputs, windows.targets), steps)
+    with pytest.raises(InvalidArgumentError, match="outside the 16-row target"):
+        training.validation_statistics(cfg, windows, 17)
+
+
+def test_train_rejects_a_non_finite_val_target():
+    cfg, windows, steps = _geometry("tail-forecast-only")
+    targets = windows.targets.copy()
+    targets[5, -1, 0] = np.nan
+    val = ArrayWindows(windows.inputs, targets)
+    for epochs in (1, 3):  # scored by evaluate, then by the statistics
+        with pytest.raises(TrainingDivergedError, match="validation MSE at epoch 1"):
+            train(cfg, init_params(cfg, 0), windows, val, TrainSpec(max_epochs=epochs), steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(input_len=st.integers(2, 24).map(lambda n: 2 * n), extra=st.integers(0, 24),
+       harmonic=st.integers(0, 3), channels=st.integers(1, 3),
+       forecast_only=st.booleans(), count=st.integers(1, 150),
+       steps=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+def test_val_statistics_mse_matches_evaluate_everywhere(input_len, extra, harmonic, channels,
+                                                        forecast_only, count, steps, seed):
+    horizon = 2 * extra + 2
+    supervision = Supervision.FORECAST_ONLY if forecast_only else Supervision.BACKCAST_AND_FORECAST
+    cfg = ModelConfig.for_forecast(input_len, horizon, 4, harmonic, channels, supervision)
+    rng = np.random.default_rng(seed)
+    windows = _forecast_windows(rng.normal(size=(cfg.output_len + count - 1, channels)), cfg)
+    steps = min(steps, cfg.target_rows)
+    layer = ComplexLinear(rng.normal(size=(cfg.n_in, cfg.n_out))
+                          + 1j * rng.normal(size=(cfg.n_in, cfg.n_out)),
+                          rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out))
+    want, _ = evaluate(cfg, layer, windows, steps)
+    got = training.validation_statistics(cfg, windows, steps).mse(layer)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_noise_free_fit_records_no_negative_val_mse():
+    # every window of a pure tone is fit exactly by some layer, so the
+    # quadratic form's rounding there can fall on either side of zero
+    tone = np.sin(2 * np.pi * np.arange(300) / 24)[:, None]
+    cfg = ModelConfig.for_forecast(48, 24, 24, 1, 1)
+    windows = _forecast_windows(tone, cfg)
+    stats = training.validation_statistics(cfg, windows, None)
+    assert stats.mse(_least_squares_layer(cfg, stats)) >= 0.0
+    spec = TrainSpec(learning_rate=1e-2, batch_size=32, max_epochs=60, patience=60)
+    _, history = train(cfg, init_params(cfg, 0), windows, windows, spec)
+    assert all(h.val_mse >= 0.0 for h in history)
+    assert min(h.val_mse for h in history) < 1e-4
+
+
+def test_multi_epoch_fit_evaluates_once(monkeypatch):
+    rng = np.random.default_rng(0)
+    windows = _window_pair(np.cumsum(rng.normal(size=(60, 2)), axis=0), 16, 8, 30)
+    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 2)
+    calls = []
+    real_evaluate = training.evaluate
+    monkeypatch.setattr(training, "evaluate",
+                        lambda *args: calls.append(args) or real_evaluate(*args))
+    _, history = train(cfg, init_params(cfg, 0), windows, windows,
+                       TrainSpec(max_epochs=6, patience=6), eval_steps=8)
+    restored = restored_epoch(history)
+    assert len(calls) == 1 and len(history) == 6
+    assert (restored.val_mse, restored.val_mae) == real_evaluate(cfg, calls[0][1], windows, 8)
+    assert all(math.isnan(h.val_mae) for h in history if h is not restored)
+
+
 # --- grid search ------------------------------------------------------------------
 
 def _tiny_frame(length=260, channels=2, seed=4):
@@ -375,15 +585,49 @@ def test_train_spec_rejects_negative_seeds():
 
 def test_grid_row_reports_restored_epoch_val(monkeypatch):
     # epoch 3 beats epoch 2 by less than the 1e-6 relative minimum, so train
-    # keeps epoch 2's parameters, and the row's val MSE must be epoch 2's too
-    results = iter([1.0, 0.5, 0.5 * (1 - 1e-7), 0.7])  # three val epochs, then test
-    monkeypatch.setattr(training, "evaluate",
-                        lambda *args, **kwargs: (next(results), 0.0))
+    # keeps epoch 2's parameters, and the row's val MSE must be evaluate's of
+    # epoch 2's layer, scored once after training
+    results = iter([1.0, 0.5, 0.5 * (1 - 1e-7)])  # the statistics of three epochs
+    scored = []
+
+    def mse(self, layer):
+        scored.append(layer.copy())
+        return next(results)
+
+    evaluated = []
+    outcomes = iter([(0.4, 0.0), (0.7, 0.0)])  # the restored epoch's val, then test
+
+    def fake_evaluate(cfg, layer, windows, eval_steps=None):
+        evaluated.append(layer.copy())
+        return next(outcomes)
+
+    monkeypatch.setattr(training.ValStatistics, "mse", mse)
+    monkeypatch.setattr(training, "evaluate", fake_evaluate)
     spec = TrainSpec(max_epochs=3, patience=3, seeds_for_reporting=(0,))
     result = grid_search(_tiny_frame(), TINY_PROFILE, 8, [16], [1],
                          [Supervision.BACKCAST_AND_FORECAST], spec)
     (row,) = result.rows
-    assert (row.val_mse, row.test_mse, row.epochs_ran) == (0.5, 0.7, 3.0)
+    assert (row.val_mse, row.test_mse, row.epochs_ran) == (0.4, 0.7, 3.0)
+    assert len(scored) == 3 and len(evaluated) == 2
+    for layer in evaluated:  # both scored the kept layer: epoch 2's
+        assert np.array_equal(layer.weight, scored[1].weight)
+        assert np.array_equal(layer.bias, scored[1].bias)
+    assert not np.array_equal(scored[1].weight, scored[2].weight)
+
+
+def test_one_epoch_grid_row_reports_its_val(monkeypatch):
+    def no_statistics(*args):
+        raise AssertionError("a one-epoch fit took validation statistics")
+
+    results = iter([0.5, 0.7])  # the one val epoch, then test
+    monkeypatch.setattr(training, "validation_statistics", no_statistics)
+    monkeypatch.setattr(training, "evaluate",
+                        lambda *args, **kwargs: (next(results), 0.0))
+    spec = TrainSpec(max_epochs=1, patience=3, seeds_for_reporting=(0,))
+    result = grid_search(_tiny_frame(), TINY_PROFILE, 8, [16], [1],
+                         [Supervision.BACKCAST_AND_FORECAST], spec)
+    (row,) = result.rows
+    assert (row.val_mse, row.test_mse, row.epochs_ran) == (0.5, 0.7, 1.0)
 
 
 def test_select_best_tie_breaks():
