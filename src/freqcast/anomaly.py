@@ -55,10 +55,10 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
     the series end so the tail is covered; every row is scored, and rows
     scored by two windows get their mean.
     """
-    if not cfg.reconstructs(window, factor):
+    if cfg != ModelConfig.for_reconstruction(window, factor, cfg.channels):
         raise InvalidArgumentError(
-            f"model maps {cfg.input_len} -> {cfg.output_len}, but scoring asks "
-            f"window {window} at factor {factor}"
+            f"model {cfg} is not the reconstruction model of window {window} "
+            f"at factor {factor}"
         )
     windows = reconstruction_windows(series, window, factor)
     t = len(series)

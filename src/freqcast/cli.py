@@ -423,14 +423,15 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         shape = {"window": model_cfg.output_len,
                  "factor": model_cfg.output_len // model_cfg.input_len}
     window, factor = (shape[k] if cfg[k] is None else cfg[k] for k in ("window", "factor"))
-    if model_cfg is not None and not model_cfg.reconstructs(window, factor):
+    try:
+        wanted = mdl.ModelConfig.for_reconstruction(
+            window, factor, 1 if model_cfg is None else model_cfg.channels)
+    except (InvalidArgumentError, InvalidLengthError) as exc:
+        raise ConfigError(f"window {window}, factor {factor}: {exc}") from None
+    if model_cfg is not None and model_cfg != wanted:
         raise ConfigError(f"window {window}, factor {factor} disagrees with the checkpoint "
                           f"{cfg['checkpoint']} ({model_cfg.input_len} -> "
                           f"{model_cfg.output_len} rows)")
-    try:
-        mdl.ModelConfig.for_reconstruction(window, factor, 1)
-    except (InvalidArgumentError, InvalidLengthError) as exc:
-        raise ConfigError(f"window {window}, factor {factor}: {exc}") from None
 
     frame = dat.load_csv(resolve_data_path(cfg["data"]), cfg["timestamp_column"])
     if cfg["label_column"]:

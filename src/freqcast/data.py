@@ -289,16 +289,15 @@ class WindowSet(ArrayWindows):
     """Stride-1 sliding forecast windows over a block of rows.
 
     Each window covers input_len + horizon rows; its inputs are the first
-    input_len, its targets the horizon rows for forecast-only supervision and
-    the whole window otherwise. Both are read-only views of one channel-major
-    copy of the rows.
+    input_len, its targets the rows from `supervision.target_start(input_len)`
+    on: the horizon rows for forecast-only supervision, the whole window
+    otherwise. Both are read-only views of one channel-major copy of the rows.
     """
 
     def __init__(self, rows: np.ndarray, input_len: int, horizon: int,
                  supervision: Supervision):
-        targets = slice(input_len, None) if supervision is Supervision.FORECAST_ONLY \
-            else slice(None)
-        self._cut(rows, input_len + horizon, slice(input_len), targets)
+        self._cut(rows, input_len + horizon, slice(input_len),
+                  slice(supervision.target_start(input_len), None))
 
 
 def split_windows(frame: SeriesFrame, profile: DatasetProfile, input_len: int,

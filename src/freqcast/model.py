@@ -24,10 +24,14 @@ rows the loss covers (`ModelConfig.target_rows`):
   G = 4 / (m n) * std * R over the layer's bins. No inverse FFT is needed.
   When the layer reaches the Nyquist bin, G's entry there is halved and made
   real, since that bin enters the output once and only through its real part.
-* the horizon rows only (forecast-only): S = `_tail_synthesis` maps the
-  layer's bins to those rows, y = Re((X W + b) S) * std + mean, and with r
-  the residual on them G = (2 / m) * std * r S^H: two real GEMMs, no FFT
-  after the input's rfft, and no Nyquist fold, since S's Nyquist row is real.
+* the horizon rows only (forecast-only): `_tail_rows` gives each instance
+  channel's z = std * [1, X] and u = t - mean over those rows, and V =
+  `_real_fold` folds [b; W] into S = `_tail_synthesis`, which maps the
+  layer's bins to the rows. The residual there is r = z V - u, and with z~
+  the complex view of z, [db; dW] = conj(z~)^T (2 / m) r S^H: real GEMMs,
+  no FFT after the input's rfft, and no Nyquist fold, since S's Nyquist row
+  is real. `training.evaluate` and `training.validation_statistics` read
+  the scored rows through the same z and u.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
@@ -79,6 +83,11 @@ class Supervision(Enum):
 
     FORECAST_ONLY = "forecast"
     BACKCAST_AND_FORECAST = "backcast+forecast"
+
+    def target_start(self, input_len: int) -> int:
+        """The first output row the loss covers: the first forecast row if
+        forecast-only, else row 0."""
+        return input_len if self is Supervision.FORECAST_ONLY else 0
 
 
 @dataclass(frozen=True)
@@ -147,11 +156,7 @@ class ModelConfig:
     @property
     def target_rows(self) -> int:
         """Trailing output rows the loss covers: the horizon if forecast-only, else all."""
-        return self.horizon if self.supervision is Supervision.FORECAST_ONLY else self.output_len
-
-    def reconstructs(self, window: int, factor: int) -> bool:
-        """Whether the layer maps every `factor`-th row of a `window`-row window back to it."""
-        return self.input_len * factor == window == self.output_len
+        return self.output_len - self.supervision.target_start(self.input_len)
 
 
 @dataclass
@@ -229,12 +234,12 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
 
     The buffer is kept and reused while later requests fit in it, so the
     batch loop does not fault in fresh pages for each batch. Contents are
-    undefined, and no function returns a view of one. Each thread owns its
-    buffers, so a half batch on the worker computes in the worker's. The
-    buffers are: "work", the normalized input rows and then the layer's
-    output bins or their gradient; "spectrum", the rows' spectrum; "target",
-    the target's spectrum and then the residual's, or the tail rows and then
-    their residual.
+    undefined, and no public function returns a view of one. Each thread owns
+    its buffers, so a half batch on the worker computes in the worker's. The
+    buffers are: "work", the input rows and then the layer's output bins or
+    the tail residual; "spectrum", the rows' spectrum, whose first bins
+    become z (`_tail_rows`); "target", the target's spectrum and then the
+    residual's, or u and then the tail residual's gradient G.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -317,13 +322,15 @@ def _check_finite(x3) -> None:
         raise InvalidValueError("input window contains non-finite values")
 
 
-def _normalized_bins(x3, cfg: ModelConfig):
+def _normalized_bins(x3, cfg: ModelConfig, normalize: bool = True):
     """Kept input bins of the normalized windows, in channel-major layout.
 
     One (batch*channels, timesteps) row per instance channel keeps the
     normalizer reductions contiguous and the layer contraction a single BLAS
     matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in),
-    a view of this thread's spectrum buffer.
+    a view of this thread's spectrum buffer. normalize=False leaves the rows
+    centred but unscaled, so the bins are std times the normalized ones, up
+    to rounding.
     """
     batch, length, channels = x3.shape
     rows = _scratch("work", (batch, channels, length))
@@ -340,7 +347,8 @@ def _normalized_bins(x3, cfg: ModelConfig):
     std /= length
     np.sqrt(std, out=std)
     np.maximum(std, RIN_EPS, out=std)
-    rows /= std
+    if normalize:
+        rows /= std
     np.fft.rfft(rows, axis=-1, out=spectrum)
     return spectrum[:, 1 : 1 + cfg.n_in], mean, std
 
@@ -372,8 +380,8 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     Row j-1 is 2/n * exp(2 pi i j t / n) for the last `last` timesteps t; when
     the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
     irfft ignores that bin's imaginary part. Cached per (cfg, last), so the
-    table is read-only. Used by `model_forward(..., last)` (so by `evaluate`),
-    by `training.validation_statistics` and, through `_tail_adjoint`, by
+    table is read-only. Folded into the layer by `_real_fold` wherever rows
+    are scored through `_tail_rows`, and transposed by `_tail_adjoint` for
     forecast-only `model_backward`.
     """
     n = cfg.output_len
@@ -390,7 +398,7 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
 def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
     """S^H as (last, 2 n_out) reals (Re S_j, -Im S_j): r @ it, viewed complex, is r @ S^H.
 
-    `_real_fold` builds the same real form (transposed) of W @ S.
+    `_real_fold` builds the same real form (transposed) of [b; W] @ S.
     """
     adjoint = _tail_synthesis(cfg, last).conj().T.copy().view(np.float64)
     adjoint.flags.writeable = False
@@ -398,68 +406,52 @@ def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
 
 
 def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
-    """The layer folded into the synthesis S, as (2 n_in + 1, last) reals V.
+    """The layer folded into the synthesis S, as (2 n_in + 2, last) reals V.
 
-    Rows 2i and 2i+1 are Re and -Im of row i of W @ S, and the last row is
-    Re(b @ S), so for kept bins x viewed as interleaved (re, im) pairs,
-    [x, 1] @ V = Re((x @ W + b) @ S).
+    Rows 2i and 2i+1 are Re and -Im of row i of [b; W] @ S, so for a row z
+    of `_tail_rows`, z @ V = std * Re((x @ W + b) @ S).
     """
-    fold = layer.weight @ synth
-    real = np.empty((2 * fold.shape[0] + 1, synth.shape[1]))
-    real[0:-1:2] = fold.real
-    real[1:-1:2] = -fold.imag
-    real[-1] = (layer.bias @ synth).real
-    return real
+    fold = np.empty((len(layer.weight) + 1, synth.shape[1]), np.complex128)
+    np.matmul(layer.bias, synth, out=fold[0])
+    np.matmul(layer.weight, synth, out=fold[1:])
+    return np.stack((fold.real, -fold.imag), axis=1).reshape(-1, synth.shape[1])
 
 
-def _forward_tail(x3, cfg: ModelConfig, layer: ComplexLinear, last: int):
-    """The last `last` output rows only, with the layer folded into the synthesis.
+def _tail_rows(x3, t3, cfg: ModelConfig, last: int):
+    """(z, u) of a checked batch over the last `last` output and target rows.
 
-    `_real_fold` maps kept input bins straight to the tail timesteps, so the
-    rows are one real GEMM on the interleaved (re, im) view of the kept bins
-    plus the bias's share of every row. Returns (y_rows, kept, std) with
-    y_rows (batch*channels, last) in this thread's "target" buffer.
+    One row per instance channel: z = std * [1, kept bins], as interleaved
+    (re, im) reals (batch*channels, 2 n_in + 2), is a view of this thread's
+    "spectrum" buffer whose DC bin stands for the bias; u = t - mean is
+    (batch*channels, last) in its "target" buffer. With
+    V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on those
+    rows, y - t, is z @ V - u (`_tail_residual`).
     """
-    kept, mean, std = _normalized_bins(x3, cfg)
-    fold = _real_fold(layer, _tail_synthesis(cfg, last))
-    yn = np.matmul(kept.view(np.float64), fold[:-1],
-                   out=_scratch("target", (kept.shape[0], last)))
-    yn += fold[-1]
-    yn *= std
-    yn += mean
-    return yn, kept, std
+    kept, mean, std = _normalized_bins(x3, cfg, normalize=False)
+    z = _scratch("spectrum", (len(kept), x3.shape[1] // 2 + 1), np.complex128)[:, :1 + cfg.n_in]
+    z[:, 0] = std[:, 0]
+    u = _scratch("target", (x3.shape[0], cfg.channels, last))
+    np.subtract(t3[:, -last:].transpose(0, 2, 1), mean.reshape(x3.shape[0], -1, 1), out=u)
+    return z.view(np.float64), u.reshape(-1, last)
 
 
-def _output_rows(x3, cfg: ModelConfig, layer: ComplexLinear, last: int) -> np.ndarray:
-    """The (batch*channels, last) output rows of a checked batch, in a new array."""
-    if last < cfg.output_len:
-        return _forward_tail(x3, cfg, layer, last)[0].copy()  # the rows are scratch
-    return _forward_rows(x3, cfg, layer)
+def _tail_residual(z, u, fold) -> np.ndarray:
+    """z @ fold - u in this thread's "work" buffer, which `_tail_rows` leaves free."""
+    r = np.matmul(z, fold, out=_scratch("work", u.shape))
+    r -= u
+    return r
 
 
-def model_forward(x, cfg: ModelConfig, layer: ComplexLinear,
-                  last: int | None = None) -> np.ndarray:
-    """Map an input window (or batch of windows) to the interpolated output.
-
-    `last=k` returns only the final k output rows. Below output_len they are
-    computed by a direct tail synthesis, which agrees with the full output's
-    last k rows to rounding but not bit for bit.
-    """
+def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
+    """Map an input window (or batch of windows) to the interpolated output."""
     _check_layer(cfg, layer)
     x3, squeeze = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    if last is None:
-        last = cfg.output_len
-    if not 1 <= last <= cfg.output_len:
-        raise InvalidArgumentError(
-            f"last={last} outside the {cfg.output_len}-row output window"
-        )
     _check_finite(x3)
     if _splits(x3):
-        y_rows = np.concatenate(
-            _halves(lambda w: _output_rows(x3[w], cfg, layer, last), len(x3)))
+        y_rows = np.concatenate(_halves(lambda w: _forward_rows(x3[w], cfg, layer), len(x3)))
     else:
-        y_rows = _output_rows(x3, cfg, layer, last)
-    y = y_rows.reshape(x3.shape[0], cfg.channels, last).transpose(0, 2, 1)
+        y_rows = _forward_rows(x3, cfg, layer)
+    y = y_rows.reshape(x3.shape[0], cfg.channels, cfg.output_len).transpose(0, 2, 1)
     return y[0] if squeeze else y
 
 
@@ -494,23 +486,25 @@ def _loss_and_gradient(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
     """(loss, dW, db) of a checked batch as its share of a loss over m supervised values."""
     n = cfg.output_len
     rows = cfg.target_rows
-    if rows == n:
-        loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, m)
-        g = resid[:, 1 : 1 + cfg.n_out]
-        # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
-        # bin and the instance std into one scaling
-        g *= (4.0 / (m * n)) * std
-        if cfg.n_out == n // 2:
-            # irfft ignores the imaginary part of the Nyquist bin and counts it once
-            g[:, -1] = g[:, -1].real * 0.5
-    else:
-        resid, kept, std = _forward_tail(x3, cfg, layer, rows)
-        resid.reshape(-1, cfg.channels, rows)[...] -= t3.transpose(0, 2, 1)
-        loss = float(np.vdot(resid, resid)) / m
-        resid *= (2.0 / m) * std
-        g = _scratch("work", (kept.shape[0], cfg.n_out), np.complex128)
-        np.matmul(resid, _tail_adjoint(cfg, rows), out=g.view(np.float64))
+    if rows < n:
+        z, u = _tail_rows(x3, t3, cfg, rows)
+        r = _tail_residual(z, u, _real_fold(layer, _tail_synthesis(cfg, rows)))
+        loss = float(np.vdot(r, r)) / m
+        r *= 2.0 / m
+        g = _scratch("target", (z.shape[0], cfg.n_out), np.complex128)  # u is spent
+        np.matmul(r, _tail_adjoint(cfg, rows), out=g.view(np.float64))
+        z = z.view(np.complex128)
+        grad = np.conjugate(z, out=z).T @ g  # [db; dW]; z is scratch, conjugated in place
+        return loss, grad[1:], grad[0]
 
+    loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, m)
+    g = resid[:, 1 : 1 + cfg.n_out]
+    # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
+    # bin and the instance std into one scaling
+    g *= (4.0 / (m * n)) * std
+    if cfg.n_out == n // 2:
+        # irfft ignores the imaginary part of the Nyquist bin and counts it once
+        g[:, -1] = g[:, -1].real * 0.5
     d_weight = np.conjugate(kept, out=kept).T @ g  # kept is scratch; conjugate it in place
     d_bias = g.sum(axis=0)
     return loss, d_weight, d_bias

@@ -30,7 +30,7 @@ from .model import (
     Supervision,
     init_params,
     model_backward,
-    model_forward,
+    model_forward,  # not called here; the benchmark trace wraps training.model_forward
     pack_params,
     param_count,
     unpack_params,
@@ -149,6 +149,24 @@ def _scored_rows(windows, eval_steps: int | None) -> int:
     return k
 
 
+def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
+    """sums(z, u) of `model._tail_rows` for each part of the windows, in window order.
+
+    The windows go EVAL_BATCH at a time through the model's input checks; a
+    large slice is taken as two half batches, as the model takes it, so the
+    parts come in one order wherever a half ran.
+    """
+    for lo in range(0, len(windows), EVAL_BATCH):
+        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
+        x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
+        mdl._check_finite(x3)
+
+        def part(w):
+            return sums(*mdl._tail_rows(x3[w], t[w], cfg, k))
+
+        yield from mdl._halves(part, len(x3)) if mdl._splits(x3) else (part(slice(None)),)
+
+
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
              eval_steps: int | None = None):
     """(MSE, MAE) over the trailing eval_steps rows of prediction and target.
@@ -156,19 +174,19 @@ def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
     eval_steps=None compares against the full target region, which is the
     forecast horizon for forecast-only windows and the whole output window
     otherwise (the reconstruction case). Only the compared rows are
-    predicted, EVAL_BATCH windows at a time.
+    predicted: the layer is folded into their synthesis once, and each
+    row's error is z @ V - u (`model._tail_rows`).
     """
     k = _scored_rows(windows, eval_steps)
-    sq = 0.0
-    ab = 0.0
-    count = 0
-    for lo in range(0, len(windows), EVAL_BATCH):
-        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
-        # row-major, so the sums below add in the same order whatever the window layout
-        diff = np.subtract(model_forward(x, cfg, layer, last=k), t[:, -k:, :], order="C")
-        sq += float(np.sum(diff**2))
-        ab += float(np.sum(np.abs(diff)))
-        count += diff.size
+    mdl._check_layer(cfg, layer)
+    fold = mdl._real_fold(layer, mdl._tail_synthesis(cfg, k))
+
+    def sums(z, u):
+        r = mdl._tail_residual(z, u, fold)
+        return float(np.vdot(r, r)), float(np.abs(r, out=r).sum())
+
+    sq, ab = map(sum, zip(*_scored_parts(cfg, windows, k, sums)))
+    count = len(windows) * k * cfg.channels
     return sq / count, ab / count
 
 
@@ -177,11 +195,10 @@ class ValStatistics:
     """The squared error of any layer over a window set's scored rows, as a
     quadratic form in the layer.
 
-    Each instance channel has a row z = std * [kept bins as (re, im) pairs, 1]
-    and centred targets u = t - mean over the k scored rows. With
-    V = `model._real_fold(layer, synth)` the error rows are z @ V - u, so
-    their squares sum to e - 2<V, C> + <V, H V> with H = sum z^T z (gram),
-    C = sum z^T u (cross) and e = sum |u|^2 (energy), over `count` values.
+    With z and u the rows of `model._tail_rows` and V =
+    `model._real_fold(layer, synth)`, the errors z @ V - u square-sum to
+    e - 2<V, C> + <V, H V> with H = sum z^T z (gram), C = sum z^T u (cross)
+    and e = sum |u|^2 (energy), over `count` values.
     """
 
     synth: np.ndarray
@@ -201,38 +218,18 @@ class ValStatistics:
 
 def validation_statistics(cfg: ModelConfig, windows,
                           eval_steps: int | None = None) -> ValStatistics:
-    """The `ValStatistics` of the rows `evaluate(cfg, ., windows, eval_steps)` scores.
-
-    One pass over the windows in `evaluate`'s EVAL_BATCH slices, with the
-    model's input checks; a large slice is taken as two half batches, as the
-    model takes it, whose sums are added in one order wherever they ran.
-    """
+    """The `ValStatistics` of the rows `evaluate(cfg, ., windows, eval_steps)` scores,
+    summed over the same parts as `evaluate`'s."""
     k = _scored_rows(windows, eval_steps)
-    synth = mdl._tail_synthesis(cfg, k)
-    width = 2 * cfg.n_in + 1
+    width = 2 * cfg.n_in + 2
     gram, cross, energy = np.zeros((width, width)), np.zeros((width, k)), 0.0
-
-    def moments(x3, t3):
-        kept, mean, std = mdl._normalized_bins(x3, cfg)
-        z = np.empty((kept.shape[0], width))
-        np.multiply(kept.view(np.float64), std, out=z[:, :-1])
-        z[:, -1:] = std
-        u = t3[:, -k:, :].transpose(0, 2, 1).reshape(-1, k) - mean
-        return z.T @ z, z.T @ u, float(np.vdot(u, u))
-
-    for lo in range(0, len(windows), EVAL_BATCH):
-        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
-        x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
-        mdl._check_finite(x3)
-        if mdl._splits(x3):
-            parts = mdl._halves(lambda w: moments(x3[w], t[w]), len(x3))
-        else:
-            parts = (moments(x3, t),)
-        for h, c, e in parts:
-            gram += h
-            cross += c
-            energy += e
-    return ValStatistics(synth, gram, cross, energy, len(windows) * k * cfg.channels)
+    for h, c, e in _scored_parts(cfg, windows, k,
+                                 lambda z, u: (z.T @ z, z.T @ u, float(np.vdot(u, u)))):
+        gram += h
+        cross += c
+        energy += e
+    return ValStatistics(mdl._tail_synthesis(cfg, k), gram, cross, energy,
+                         len(windows) * k * cfg.channels)
 
 
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,

@@ -127,6 +127,10 @@ def test_score_series_config_mismatch():
     layer = init_params(cfg, 4)
     with pytest.raises(InvalidArgumentError):
         score_series(cfg, layer, np.zeros((400, 1)), window=400, factor=4)
+    # a forecast model with a reconstruction model's geometry
+    cfg = ModelConfig.for_forecast(32, 32, 24, 1, 1)
+    with pytest.raises(InvalidArgumentError, match="not the reconstruction model"):
+        score_series(cfg, init_params(cfg, 4), np.zeros((400, 1)), window=64, factor=2)
 
 
 def brute_force_point_adjust(pred, labels):

@@ -602,8 +602,8 @@ def _split_and_serial_runs(tmp_path, monkeypatch, argv):
     """The run directories of argv with every batch halved, on the worker, then on the caller."""
     threads = set()
     normalized_bins = model._normalized_bins
-    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.add(
-        threading.current_thread()) or normalized_bins(x3, cfg))
+    monkeypatch.setattr(model, "_normalized_bins", lambda *args, **kwargs: threads.add(
+        threading.current_thread()) or normalized_bins(*args, **kwargs))
     monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
     runs = []
     for worker in (True, False):
@@ -668,18 +668,20 @@ def test_detect_window_factor_from_checkpoint(tmp_path, synth_stream, capsys, ke
 
 
 def test_detect_forecast_checkpoint_exits_2_before_reading_data(tmp_path, capsys):
-    model_cfg = ModelConfig.for_forecast(32, 8, 24, 1, 1)
-    ckpt = tmp_path / "forecast.ckpt"
-    save_checkpoint(ckpt, model_cfg, init_params(model_cfg, 0))
     missing = tmp_path / "missing.csv"
     cfg = write_config(tmp_path, "d.cfg", data=missing, labels=missing, train_rows=100)
-    out = tmp_path / "r"
-    assert main(["detect", "--config", str(cfg), "--out", str(out),
-                 "--checkpoint", str(ckpt)]) == 2  # 3 if a missing file were opened first
-    err = capsys.readouterr().err
-    assert f"window 40, factor 1 disagrees with the checkpoint {ckpt}" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not list(out.rglob("*"))
+    # 32 -> 64 rows has the geometry of a factor-2 reconstruction, but not its model
+    for horizon, window, factor in ((8, 40, 1), (32, 64, 2)):
+        model_cfg = ModelConfig.for_forecast(32, horizon, 24, 1, 1)
+        ckpt = tmp_path / f"forecast-{horizon}.ckpt"
+        save_checkpoint(ckpt, model_cfg, init_params(model_cfg, 0))
+        out = tmp_path / f"r{horizon}"
+        assert main(["detect", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 2  # 3 if a missing file were opened first
+        err = capsys.readouterr().err
+        assert f"window {window}, factor {factor} disagrees with the checkpoint {ckpt}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(out.rglob("*"))
 
 
 @pytest.mark.parametrize("train_rows, code, message", [

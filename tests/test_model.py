@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcast import model
+from freqcast import model, training
+from freqcast.data import ArrayWindows
 from freqcast.errors import InvalidArgumentError, InvalidLengthError, InvalidValueError, ShapeError
 from freqcast.model import (
     RIN_EPS,
@@ -235,16 +236,18 @@ def tail_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(tail_cases())
 def test_forward_last_rows_match_full_output(case):
+    # evaluate scores the last rows through the tail synthesis; plain NumPy
+    # scores the same rows of the full irfft output
     cfg, last, seed = case
     rng = np.random.default_rng(seed)
     layer = init_params(cfg, seed)
     layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
     x = rng.normal(size=(4, cfg.input_len, cfg.channels)) * 3.0 + 2.0
-    full = model_forward(x, cfg, layer)
-    tail = model_forward(x, cfg, layer, last=last)
-    assert tail.shape == (4, last, cfg.channels)
-    assert np.max(np.abs(tail - full[:, -last:])) <= 1e-12 * np.max(np.abs(full))
-    assert model_forward(x[0], cfg, layer, last=last).shape == (last, cfg.channels)
+    t = rng.normal(size=(4, cfg.output_len, cfg.channels)) * 3.0 - 1.0
+    diff = model_forward(x, cfg, layer)[:, -last:] - t[:, -last:]
+    got = training.evaluate(cfg, layer, ArrayWindows(x, t), last)
+    for value, want in zip(got, (np.mean(diff**2), np.mean(np.abs(diff)))):
+        assert abs(value - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("cfg", [
@@ -260,18 +263,13 @@ def test_tail_synthesis_is_cached_read_only(cfg):
     assert np.array_equal(synth, _tail_synthesis.__wrapped__(cfg, 24))
 
 
-@pytest.mark.parametrize("last", [0, -1, 25])
-def test_forward_rejects_last_outside_output(last):
-    cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
-    with pytest.raises(InvalidArgumentError, match="outside"):
-        model_forward(np.zeros((16, 1)), cfg, init_params(cfg, 0), last=last)
-
-
 # --- gradients -------------------------------------------------------------------
 
-def finite_diff_grads(x, target, cfg, layer, h=1e-5):
-    def loss_of(w, b):
-        return model_backward(x, target, cfg, ComplexLinear(w, b))[0]
+def finite_diff_grads(x, target, cfg, layer, h=1e-5, loss_of=None):
+    """Central differences of loss_of(W, b), by default `model_backward`'s loss."""
+    if loss_of is None:
+        def loss_of(w, b):
+            return model_backward(x, target, cfg, ComplexLinear(w, b))[0]
 
     dw = np.zeros_like(layer.weight)
     db = np.zeros_like(layer.bias)
@@ -366,6 +364,38 @@ def test_backward_matches_time_domain_oracle(monkeypatch, cfg):
         assert max_rel_err(db, fdb) < 1e-4
 
 
+@settings(max_examples=40, deadline=None)
+@given(input_len=st.integers(1, 8).map(lambda n: 2 * n),
+       horizon=st.integers(1, 8).map(lambda n: 2 * n), period=st.integers(1, 8),
+       harmonic=st.integers(0, 2),  # 0 keeps every bin, so the layer reaches Nyquist
+       channels=st.integers(1, 3), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_forecast_only_backward_matches_oracles(input_len, horizon, period, harmonic,
+                                                channels, batch, seed):
+    # the loss against the time-domain MSE of the full forward pass, and the
+    # gradient against central differences of that MSE, with the batch
+    # computed whole and as two half batches
+    cfg = ModelConfig.for_forecast(input_len, horizon, period, harmonic, channels,
+                                   Supervision.FORECAST_ONLY)
+    rng = np.random.default_rng(seed)
+    layer = init_params(cfg, seed)
+    layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
+    x = rng.normal(size=(batch, input_len, channels)) * 2.0 + 5.0
+    t = rng.normal(size=(batch, horizon, channels)) * 2.0 + 4.0
+
+    def time_domain_loss(w, b):
+        return np.mean((model_forward(x, cfg, ComplexLinear(w, b))[:, -horizon:] - t) ** 2)
+
+    want = time_domain_loss(layer.weight, layer.bias)
+    fd = finite_diff_grads(x, t, cfg, layer, loss_of=time_domain_loss)
+    with pytest.MonkeyPatch.context() as patch:
+        for halves in (False, True):
+            patch.setattr(model, "_splits", lambda x3: halves and len(x3) >= 2)
+            loss, *grads = model_backward(x, t, cfg, layer)
+            assert abs(loss - want) <= 1e-12 * want
+            for analytic, numeric in zip(grads, fd):
+                assert max_rel_err(analytic, numeric) < 1e-4
+
+
 def test_gradient_linear_in_residual():
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
     layer = init_params(cfg, 29)
@@ -390,15 +420,17 @@ def test_gradient_target_shape_errors():
 
 
 def _all_passes(cfg, batch, seed):
-    """Backward and forward (full, last row, horizon) results on seeded data."""
+    """Backward, forward and `evaluate` (last row, horizon, every target row)
+    results on seeded data."""
     rng = np.random.default_rng(seed)
     layer = init_params(cfg, seed)
     layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
     x = rng.normal(size=(batch, cfg.input_len, cfg.channels)).cumsum(axis=1)
     target = rng.normal(size=(batch, cfg.target_rows, cfg.channels))
+    windows = ArrayWindows(x, target)
     return [model_backward(x, target, cfg, layer), model_forward(x, cfg, layer),
-            model_forward(x, cfg, layer, last=1),
-            model_forward(x, cfg, layer, last=max(1, cfg.horizon))]
+            *(training.evaluate(cfg, layer, windows, k)
+              for k in (1, max(1, cfg.horizon), None))]
 
 
 def _model_calls(seed):
@@ -410,17 +442,15 @@ def _model_calls(seed):
 
 def _assert_same_bits(got, want):
     for g, w in zip(got, want):
-        if isinstance(w, tuple):  # (loss, dW, db)
-            assert g[0] == w[0]
-            assert np.array_equal(g[1], w[1]) and np.array_equal(g[2], w[2])
-        else:
-            assert np.array_equal(g, w)
+        # (loss, dW, db) and (MSE, MAE) tuples, and output arrays
+        for a, b in zip(g, w) if isinstance(w, tuple) else [(g, w)]:
+            assert np.array_equal(a, b)
 
 
 def test_results_outlive_later_calls():
     # the model's scratch buffers are reused; nothing it returns may alias one
     results = _model_calls(70)
-    saved = [(r[0], r[1].copy(), r[2].copy()) if isinstance(r, tuple) else r.copy()
+    saved = [tuple(np.copy(v) for v in r) if isinstance(r, tuple) else r.copy()
              for r in results]
     _model_calls(71)  # the same shapes, other data
     rng = np.random.default_rng(72)
@@ -429,10 +459,10 @@ def test_results_outlive_later_calls():
         layer = init_params(cfg, 73)
         for batch in (1, 20):  # smaller and larger than the first batch
             x = rng.normal(size=(batch, cfg.input_len, cfg.channels))
-            model_backward(x, rng.normal(size=(batch, cfg.target_rows, cfg.channels)),
-                           cfg, layer)
+            t = rng.normal(size=(batch, cfg.target_rows, cfg.channels))
+            model_backward(x, t, cfg, layer)
             model_forward(x, cfg, layer)
-            model_forward(x, cfg, layer, last=3)
+            training.evaluate(cfg, layer, ArrayWindows(x, t), 3)
     _model_calls(74)
     _assert_same_bits(results, saved)
 
@@ -479,9 +509,9 @@ def split_log(monkeypatch):
     threads = []
     normalized_bins = model._normalized_bins
 
-    def logged(x3, cfg):
+    def logged(*args, **kwargs):
         threads.append(threading.current_thread())
-        return normalized_bins(x3, cfg)
+        return normalized_bins(*args, **kwargs)
 
     _halve_every_batch(monkeypatch)
     monkeypatch.setattr(model, "_cpu_idle", lambda: True)
@@ -568,7 +598,9 @@ def test_split_checks_inputs_before_the_worker_runs(monkeypatch, split_log):
     with pytest.raises(InvalidValueError, match="non-finite"):
         model_backward(x, np.zeros((8, 24, 2)), cfg, layer)
     with pytest.raises(InvalidValueError, match="non-finite"):
-        model_forward(x, cfg, layer, last=4)
+        model_forward(x, cfg, layer)
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        training.evaluate(cfg, layer, ArrayWindows(x, np.zeros((8, 24, 2))), 4)
     with pytest.raises(ShapeError):
         model_backward(np.ones((8, 16, 2)), np.zeros((7, 24, 2)), cfg, layer)
     other = init_params(ModelConfig.for_forecast(16, 4, 4, 0, 2), 0)
