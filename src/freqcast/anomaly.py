@@ -53,7 +53,8 @@ def score_series(cfg: ModelConfig, layer: ComplexLinear, series: np.ndarray,
 
     Windows are taken at stride = window, plus one final window aligned to
     the series end so the tail is covered; every row is scored, and rows
-    scored by two windows get their mean.
+    scored by two windows get their mean. cfg must equal
+    `ModelConfig.for_reconstruction(window, factor, cfg.channels)`.
     """
     if cfg != ModelConfig.for_reconstruction(window, factor, cfg.channels):
         raise InvalidArgumentError(

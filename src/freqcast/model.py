@@ -28,7 +28,7 @@ rows the loss covers (`ModelConfig.target_rows`):
   channel's z = std * [1, X] and u = t - mean over those rows, and V =
   `_real_fold` folds [b; W] into S = `_tail_synthesis`, which maps the
   layer's bins to the rows. The residual there is r = z V - u, and with z~
-  the complex view of z, [db; dW] = conj(z~)^T (2 / m) r S^H: real GEMMs,
+  the complex view of z, [db; dW] = (conj(z~)^T (2 / m) r) S^H: real GEMMs,
   no FFT after the input's rfft, and no Nyquist fold, since S's Nyquist row
   is real. `training.evaluate` and `training.validation_statistics` read
   the scored rows through the same z and u.
@@ -239,7 +239,7 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     buffers are: "work", the input rows and then the layer's output bins or
     the tail residual; "spectrum", the rows' spectrum, whose first bins
     become z (`_tail_rows`); "target", the target's spectrum and then the
-    residual's, or u and then the tail residual's gradient G.
+    residual's, or u and then z^T times the tail residual.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -322,15 +322,13 @@ def _check_finite(x3) -> None:
         raise InvalidValueError("input window contains non-finite values")
 
 
-def _normalized_bins(x3, cfg: ModelConfig, normalize: bool = True):
+def _normalized_bins(x3, cfg: ModelConfig):
     """Kept input bins of the normalized windows, in channel-major layout.
 
     One (batch*channels, timesteps) row per instance channel keeps the
     normalizer reductions contiguous and the layer contraction a single BLAS
     matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in),
-    a view of this thread's spectrum buffer. normalize=False leaves the rows
-    centred but unscaled, so the bins are std times the normalized ones, up
-    to rounding.
+    a view of this thread's spectrum buffer.
     """
     batch, length, channels = x3.shape
     rows = _scratch("work", (batch, channels, length))
@@ -347,8 +345,7 @@ def _normalized_bins(x3, cfg: ModelConfig, normalize: bool = True):
     std /= length
     np.sqrt(std, out=std)
     np.maximum(std, RIN_EPS, out=std)
-    if normalize:
-        rows /= std
+    rows /= std
     np.fft.rfft(rows, axis=-1, out=spectrum)
     return spectrum[:, 1 : 1 + cfg.n_in], mean, std
 
@@ -396,11 +393,13 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
-    """S^H as (last, 2 n_out) reals (Re S_j, -Im S_j): r @ it, viewed complex, is r @ S^H.
+    """[S^H; -i S^H] as (2 last, 2 n_out) reals: [P, Q] @ it, viewed complex, is (P - i Q) @ S^H.
 
-    `_real_fold` builds the same real form (transposed) of [b; W] @ S.
+    For z from `_tail_rows` and real rows r, (z.T @ r).reshape(-1, 2 last) is
+    [Re z~^T r, Im z~^T r], so times this table it is conj(z~)^T r S^H.
     """
-    adjoint = _tail_synthesis(cfg, last).conj().T.copy().view(np.float64)
+    adjoint = _tail_synthesis(cfg, last).conj().T.copy()
+    adjoint = np.concatenate((adjoint, -1j * adjoint)).view(np.float64)
     adjoint.flags.writeable = False
     return adjoint
 
@@ -427,7 +426,8 @@ def _tail_rows(x3, t3, cfg: ModelConfig, last: int):
     V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on those
     rows, y - t, is z @ V - u (`_tail_residual`).
     """
-    kept, mean, std = _normalized_bins(x3, cfg, normalize=False)
+    kept, mean, std = _normalized_bins(x3, cfg)
+    kept.view(np.float64)[...] *= std
     z = _scratch("spectrum", (len(kept), x3.shape[1] // 2 + 1), np.complex128)[:, :1 + cfg.n_in]
     z[:, 0] = std[:, 0]
     u = _scratch("target", (x3.shape[0], cfg.channels, last))
@@ -491,11 +491,10 @@ def _loss_and_gradient(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
         r = _tail_residual(z, u, _real_fold(layer, _tail_synthesis(cfg, rows)))
         loss = float(np.vdot(r, r)) / m
         r *= 2.0 / m
-        g = _scratch("target", (z.shape[0], cfg.n_out), np.complex128)  # u is spent
-        np.matmul(r, _tail_adjoint(cfg, rows), out=g.view(np.float64))
-        z = z.view(np.complex128)
-        grad = np.conjugate(z, out=z).T @ g  # [db; dW]; z is scratch, conjugated in place
-        return loss, grad[1:], grad[0]
+        # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows
+        zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], rows)))  # u is spent
+        grad = (zr.reshape(-1, 2 * rows) @ _tail_adjoint(cfg, rows)).view(np.complex128)
+        return loss, grad[1:], grad[0]  # [db; dW]
 
     loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, m)
     g = resid[:, 1 : 1 + cfg.n_out]

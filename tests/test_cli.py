@@ -602,8 +602,8 @@ def _split_and_serial_runs(tmp_path, monkeypatch, argv):
     """The run directories of argv with every batch halved, on the worker, then on the caller."""
     threads = set()
     normalized_bins = model._normalized_bins
-    monkeypatch.setattr(model, "_normalized_bins", lambda *args, **kwargs: threads.add(
-        threading.current_thread()) or normalized_bins(*args, **kwargs))
+    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.add(
+        threading.current_thread()) or normalized_bins(x3, cfg))
     monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
     runs = []
     for worker in (True, False):

@@ -509,9 +509,9 @@ def split_log(monkeypatch):
     threads = []
     normalized_bins = model._normalized_bins
 
-    def logged(*args, **kwargs):
+    def logged(x3, cfg):
         threads.append(threading.current_thread())
-        return normalized_bins(*args, **kwargs)
+        return normalized_bins(x3, cfg)
 
     _halve_every_batch(monkeypatch)
     monkeypatch.setattr(model, "_cpu_idle", lambda: True)

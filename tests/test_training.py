@@ -413,9 +413,9 @@ def test_val_statistics_do_not_depend_on_the_worker(monkeypatch):
     threads = set()
     bins = model._normalized_bins
 
-    def logged(*args, **kwargs):
+    def logged(x3, cfg):
         threads.add(threading.current_thread())
-        return bins(*args, **kwargs)
+        return bins(x3, cfg)
 
     monkeypatch.setattr(model, "_normalized_bins", logged)
     layer = init_params(cfg, 3)
@@ -470,11 +470,8 @@ def test_val_statistics_mse_matches_evaluate_everywhere(input_len, extra, harmon
                           + 1j * rng.normal(size=(cfg.n_in, cfg.n_out)),
                           rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out))
     want, _ = evaluate(cfg, layer, windows, steps)
-    stats = training.validation_statistics(cfg, windows, steps)
-    # the form adds terms about as large as the mean squared centred target,
-    # which a close fit of a few scored values cancels to a small MSE, so its
-    # rounding scales with that mean, not with the MSE
-    assert abs(stats.mse(layer) - want) <= 1e-12 * (want + stats.energy / stats.count)
+    got = training.validation_statistics(cfg, windows, steps).mse(layer)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_noise_free_fit_records_no_negative_val_mse():
