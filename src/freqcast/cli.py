@@ -412,6 +412,13 @@ def _exactly_one(cfg: dict, first: str, second: str) -> None:
                           f"got {'both' if given else 'neither'}")
 
 
+def _scores_csv_text(start: int, scores, labels) -> str:
+    """scores.csv: a header, then one "timestep,score,label" line per scored row from `start`."""
+    return "timestep,score,label\n" + "".join(
+        "%d,%.10g,%d\n" % row
+        for row in zip(range(start, start + len(scores)), scores.tolist(), labels.tolist()))
+
+
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
     _exactly_one(cfg, "checkpoint", "train_first")
     _exactly_one(cfg, "labels", "label_column")
@@ -470,9 +477,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         "params": mdl.param_count(model_cfg)[0], "threshold_source": "labeled-test",
     })
     if cfg["dump_scores"]:
-        rows = np.column_stack([np.arange(split, frame.length), scores.scores, labels[split:]])
-        _write_atomic(run_dir / "scores.csv", lambda p: np.savetxt(
-            p, rows, fmt="%d,%.10g,%d", header="timestep,score,label", comments=""))
+        text = _scores_csv_text(split, scores.scores, labels[split:])
+        _write_atomic(run_dir / "scores.csv", lambda p: p.write_text(text, encoding="utf-8"))
     print(f"run dir: {run_dir}")
     print(f"F1: {report.f1:.4f}  precision: {report.precision:.4f}  "
           f"recall: {report.recall:.4f}")

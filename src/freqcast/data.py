@@ -104,6 +104,37 @@ class LabeledSeries:
             )
 
 
+def _plain_values(path, width: int, skip: int):
+    """The data rows of a `width`-cell CSV parsed by NumPy, without the first `skip`
+    columns; None unless they are exactly the values of `load_csv`'s cell loop.
+
+    NumPy takes quotes as text, skips blank lines, ignores cells past the
+    used columns and rejects some text `float` accepts, such as "1_0". So the
+    result is kept only for a file with no quote whose every line, counted
+    by its line feeds, gave one row of `width` cells, all finite; NumPy
+    raises for a row with fewer.
+    """
+    lines = commas = quotes = 0
+    last = b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            commas += chunk.count(b",")
+            quotes += chunk.count(b'"')
+            last = chunk[-1:]
+    lines += last != b"\n"  # an unterminated last line
+    if quotes or lines < 2:
+        return None
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(skip, width),
+                            comments=None, ndmin=2, encoding="utf-8")
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if len(values) != lines - 1 or commas != lines * (width - 1) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
     """Load a comma-separated numeric series with a header row.
 
@@ -111,6 +142,8 @@ def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
     parse with `float` and be finite: the first cell that fails, row by row
     and left to right, raises ParseError naming its row and column (1-based,
     counting the header as row 1). A file that is not UTF-8 raises ParseError.
+    A plain file is parsed by NumPy in one pass (`_plain_values`); any other
+    goes through the cell loop, which names the failing cell.
     """
     skip = int(has_timestamp_column)
     try:
@@ -121,29 +154,37 @@ def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
                 raise ParseError(f"{path}: file is empty")
             if has_timestamp_column and len(header) < 2:
                 raise ParseError(f"{path}: need at least one value column beside the timestamp")
-            data: list[list[float]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                    )
-                parsed = []
-                for column, cell in enumerate(row[skip:], start=1 + skip):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(f"{path}: row {lineno}, column {column}: "
-                                         f"could not parse {cell!r} as a number") from None
-                    if not math.isfinite(value):
-                        raise ParseError(f"{path}: row {lineno}, column {column}: "
-                                         f"non-finite value {cell!r}")
-                    parsed.append(value)
-                data.append(parsed)
+            values = _plain_values(path, len(header), skip)
+            if values is None:
+                values = np.array(_parsed_cells(path, reader, header, skip), dtype=np.float64)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not data:
+    if not len(values):
         raise ParseError(f"{path}: no data rows")
-    return SeriesFrame(np.array(data, dtype=np.float64), header[skip:])
+    return SeriesFrame(values, header[skip:])
+
+
+def _parsed_cells(path, reader, header, skip: int) -> list[list[float]]:
+    """The rows after the header, each cell checked by `float` and `math.isfinite`."""
+    data: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for column, cell in enumerate(row[skip:], start=1 + skip):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {lineno}, column {column}: "
+                                 f"could not parse {cell!r} as a number") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: row {lineno}, column {column}: "
+                                 f"non-finite value {cell!r}")
+            parsed.append(value)
+        data.append(parsed)
+    return data
 
 
 def load_labels(path, expected_len: int | None = None) -> np.ndarray:

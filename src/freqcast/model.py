@@ -14,24 +14,33 @@ gradient of the MSE with respect to W and b is an adjoint chain ending in
 where row r of G is the loss's gradient with respect to the layer output
 bins of instance channel r. With n = output_len, m the number of supervised
 values and std, mean the instance statistics, the chain to G depends on the
-rows the loss covers (`ModelConfig.target_rows`):
+rows the loss covers (`ModelConfig.target_rows`). Either way a batch goes
+through two passes. The feature pass (`_features`) reads the windows alone:
+each instance channel's z~ = std * [1, X], whose first entry stands for the
+bias, and what the loss needs of its target. The layer pass (`_layer_pass`)
+applies W~ = [b; W] to those rows:
 
 * the whole output window (backcast+forecast, and every reconstruction
-  model): the residual is formed in frequency. R = rfft(y - t) is
-  std * [0, X W + b, 0...] + n * mean at DC - rfft(t), with the Nyquist
-  bin's imaginary part dropped first because irfft drops it. Parseval gives
-  the MSE, (|R_0|^2 + 2 sum_k |R_k|^2 + |R_n/2|^2) / (n m), and
-  G = 4 / (m n) * std * R over the layer's bins. No inverse FFT is needed.
-  When the layer reaches the Nyquist bin, G's entry there is halved and made
-  real, since that bin enters the output once and only through its real part.
-* the horizon rows only (forecast-only): `_tail_rows` gives each instance
-  channel's z = std * [1, X] and u = t - mean over those rows, and V =
-  `_real_fold` folds [b; W] into S = `_tail_synthesis`, which maps the
-  layer's bins to the rows. The residual there is r = z V - u, and with z~
-  the complex view of z, [db; dW] = (conj(z~)^T (2 / m) r) S^H: real GEMMs,
-  no FFT after the input's rfft, and no Nyquist fold, since S's Nyquist row
-  is real. `training.evaluate` and `training.validation_statistics` read
-  the scored rows through the same z and u.
+  model): the residual is formed in frequency. Over the layer's bins,
+  rfft(y - t) is R = z~ W~ - B, one complex GEMM, with B the target's rfft
+  there and the Nyquist bin's imaginary part dropped, as irfft drops it.
+  Outside them the residual does not depend on the layer, so its energy e0
+  (DC, where y contributes n * mean, and the bins above the layer) is fixed
+  data. Parseval gives the MSE, (e0 + 2 sum_k |R_k|^2 - |R_n/2|^2) / (n m),
+  and [db; dW] = 4 / (m n) * conj(z~)^T R'. No inverse FFT is needed. When
+  the layer reaches the Nyquist bin, R' halves R there, since that bin
+  enters the output once and only through its real part.
+* the horizon rows only (forecast-only): `_tail_rows` gives z, the real
+  view of z~, and u = t - mean over those rows, and V = `_real_fold` folds
+  W~ into S = `_tail_synthesis`, which maps the layer's bins to the rows.
+  The residual there is r = z V - u, and [db; dW] = (conj(z~)^T (2 / m) r)
+  S^H: real GEMMs, no FFT after the input's rfft, and no Nyquist fold,
+  since S's Nyquist row is real. `training.evaluate` and
+  `training.validation_statistics` read the scored rows through the same z
+  and u.
+
+The feature pass is the same for every layer, so `training.train` may take
+it once per fit and run only the layer pass per batch.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
@@ -39,8 +48,9 @@ correctness is pinned by finite-difference checks in the test suite, and
 the spectral loss by its time-domain value.
 
 A batch of at least 2 windows and 2^16 input values is computed as two half
-batches, windows [0, n//2) and [n//2, n) (`_splits`): their losses and
-gradients are added, and their output rows joined. The halving depends on
+batches, windows [0, n//2) and [n//2, n) (`_splits`): each half runs both
+passes, their losses and gradients are added, and their output rows joined;
+the layer is folded once for both (`_batch_pass`). The halving depends on
 the batch alone, so the bits do not depend on where a half runs. The first
 half runs on one worker thread, started by the first such batch, when BLAS
 runs on one thread and another CPU is free (`_cpu_idle`), and on the calling
@@ -237,9 +247,9 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     undefined, and no public function returns a view of one. Each thread owns
     its buffers, so a half batch on the worker computes in the worker's. The
     buffers are: "work", the input rows and then the layer's output bins or
-    the tail residual; "spectrum", the rows' spectrum, whose first bins
-    become z (`_tail_rows`); "target", the target's spectrum and then the
-    residual's, or u and then z^T times the tail residual.
+    the residual of the layer pass; "spectrum", the rows' spectrum, whose
+    first bins become z~ (`_scaled_bins`); "target", the target's spectrum,
+    whose layer bins are B, or u and then z^T times the tail residual.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -350,20 +360,14 @@ def _normalized_bins(x3, cfg: ModelConfig):
     return spectrum[:, 1 : 1 + cfg.n_in], mean, std
 
 
-def _layer_into(out, kept, layer: ComplexLinear):
-    """out = kept @ W + b, computed in the caller's buffer."""
-    np.matmul(kept, layer.weight, out=out)
-    out += layer.bias
-    return out
-
-
 def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
     """Full-window pipeline: the (batch*channels, output_len) output rows."""
     kept, mean, std = _normalized_bins(x3, cfg)
     # DC forced to 0; irfft zero-pads the bins above n_out itself
     bins = _scratch("work", (kept.shape[0], 1 + cfg.n_out), np.complex128)
     bins[:, 0] = 0.0
-    _layer_into(bins[:, 1:], kept, layer)
+    np.matmul(kept, layer.weight, out=bins[:, 1:])
+    bins[:, 1:] += layer.bias
     yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
     yn *= std
     yn += mean
@@ -416,20 +420,29 @@ def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
     return np.stack((fold.real, -fold.imag), axis=1).reshape(-1, synth.shape[1])
 
 
-def _tail_rows(x3, t3, cfg: ModelConfig, last: int):
-    """(z, u) of a checked batch over the last `last` output and target rows.
+def _scaled_bins(x3, cfg: ModelConfig):
+    """(z~, mean) of a checked batch, with z~ = std * [1, kept bins].
 
-    One row per instance channel: z = std * [1, kept bins], as interleaved
-    (re, im) reals (batch*channels, 2 n_in + 2), is a view of this thread's
-    "spectrum" buffer whose DC bin stands for the bias; u = t - mean is
-    (batch*channels, last) in its "target" buffer. With
-    V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on those
-    rows, y - t, is z @ V - u (`_tail_residual`).
+    One complex row per instance channel, (batch*channels, 1 + n_in), a view
+    of this thread's "spectrum" buffer; its first entry stands for the bias.
     """
     kept, mean, std = _normalized_bins(x3, cfg)
     kept.view(np.float64)[...] *= std
     z = _scratch("spectrum", (len(kept), x3.shape[1] // 2 + 1), np.complex128)[:, :1 + cfg.n_in]
     z[:, 0] = std[:, 0]
+    return z, mean
+
+
+def _tail_rows(x3, t3, cfg: ModelConfig, last: int):
+    """(z, u) of a checked batch over the last `last` output and target rows.
+
+    One row per instance channel: z is z~ (`_scaled_bins`) as interleaved
+    (re, im) reals, (batch*channels, 2 n_in + 2); u = t - mean is
+    (batch*channels, last) in this thread's "target" buffer. With
+    V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on those
+    rows, y - t, is z @ V - u (`_tail_residual`).
+    """
+    z, mean = _scaled_bins(x3, cfg)
     u = _scratch("target", (x3.shape[0], cfg.channels, last))
     np.subtract(t3[:, -last:].transpose(0, 2, 1), mean.reshape(x3.shape[0], -1, 1), out=u)
     return z.view(np.float64), u.reshape(-1, last)
@@ -455,58 +468,122 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
     return y[0] if squeeze else y
 
 
-def _spectral_residual(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
-    """Full-window loss from spectra: (loss share, kept, std, R) with R = rfft(y - t).
+def _spectral_features(x3, t3, cfg: ModelConfig):
+    """(z~, B, e0) of a checked batch, for the loss over the whole output window.
 
-    rfft(y) is std * [0, X W + b, 0...] plus n * mean at DC, with the Nyquist
-    bin's imaginary part dropped as irfft drops it, so R needs one rfft of the
-    target and no inverse transform; Parseval gives the squared error, which
-    is divided by the m supervised values of the whole batch.
+    One row per instance channel: z~ of `_scaled_bins`; B, the target's rfft
+    T over the layer's bins 1..n_out, a view of this thread's "target"
+    buffer; and e0, the squared spectral error outside those bins, which no
+    layer changes: |n mean - T_0|^2 at DC, where the output's spectrum is
+    n mean, plus |T_k|^2 twice for each bin above the layer, once for the
+    Nyquist bin.
     """
     n = cfg.output_len
-    resid = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)
+    spectrum = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)
     # channel-major target rows: a view when the batch was gathered channel-major
-    np.fft.rfft(t3.transpose(0, 2, 1).reshape(-1, n), axis=-1, out=resid)
-    kept, mean, std = _normalized_bins(x3, cfg)
-    np.negative(resid, out=resid)
-    resid[:, 0] += n * mean[:, 0]
-    layer_bins = _layer_into(_scratch("work", (kept.shape[0], cfg.n_out), np.complex128),
-                             kept, layer)
-    layer_bins *= std
-    if cfg.n_out == n // 2:
-        layer_bins[:, -1].imag = 0.0
-    resid[:, 1 : 1 + cfg.n_out] += layer_bins
-    # DC and Nyquist appear once in a real signal's energy, every other bin twice
-    energy = (2.0 * np.vdot(resid, resid).real - np.vdot(resid[:, 0], resid[:, 0]).real
-              - np.vdot(resid[:, -1], resid[:, -1]).real)
-    return float(energy / (n * m)), kept, std, resid
+    np.fft.rfft(t3.transpose(0, 2, 1).reshape(-1, n), axis=-1, out=spectrum)
+    z, mean = _scaled_bins(x3, cfg)
+    # rfft leaves the DC and Nyquist bins real: their squares are (re^2, 0)
+    above = spectrum[:, 1 + cfg.n_out:].view(np.float64)
+    np.square(above, out=above)
+    e0 = above.sum(axis=-1)
+    e0 *= 2.0
+    if cfg.n_out < n // 2:
+        e0 -= above[:, -2]
+    dc = spectrum[:, 0].real - n * mean[:, 0]
+    e0 += dc * dc
+    return z, spectrum[:, 1 : 1 + cfg.n_out], e0
 
 
-def _loss_and_gradient(x3, t3, cfg: ModelConfig, layer: ComplexLinear, m: int):
-    """(loss, dW, db) of a checked batch as its share of a loss over m supervised values."""
+def _features(x3, t3, cfg: ModelConfig):
+    """The feature pass of a checked batch: all its loss needs of the windows.
+
+    Rows are instance channels, window by window, in this thread's scratch
+    buffers: (z, u) of `_tail_rows` over the forecast-only target rows, else
+    (z~, B, e0) of `_spectral_features`. No layer enters them, so
+    `training.train` may take them once per fit.
+    """
+    if cfg.target_rows < cfg.output_len:
+        return _tail_rows(x3, t3, cfg, cfg.target_rows)
+    return _spectral_features(x3, t3, cfg)
+
+
+def _layer_operand(cfg: ModelConfig, layer: ComplexLinear, stacked=None) -> np.ndarray:
+    """What the layer pass multiplies feature rows by.
+
+    That is the (n_in + 1, n_out) W~ = [b; W] for the whole window (`stacked`
+    if the caller holds it), else V, the layer folded into the forecast rows'
+    synthesis (`_real_fold`).
+    """
+    if cfg.target_rows < cfg.output_len:
+        return _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))
+    if stacked is None:
+        stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)
+    return stacked
+
+
+def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
+    """The loss of the rows of `_features`, as their share of a loss over m supervised values.
+
+    Their gradient [db; dW] is written into grad, an (n_in + 1, n_out)
+    complex array. The rows are spent: the pass computes in place on them.
+    """
     n = cfg.output_len
-    rows = cfg.target_rows
-    if rows < n:
-        z, u = _tail_rows(x3, t3, cfg, rows)
-        r = _tail_residual(z, u, _real_fold(layer, _tail_synthesis(cfg, rows)))
+    if cfg.target_rows < n:
+        z, u = features
+        r = _tail_residual(z, u, operand)
         loss = float(np.vdot(r, r)) / m
         r *= 2.0 / m
-        # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows
-        zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], rows)))  # u is spent
-        grad = (zr.reshape(-1, 2 * rows) @ _tail_adjoint(cfg, rows)).view(np.complex128)
-        return loss, grad[1:], grad[0]  # [db; dW]
+        # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows;
+        # u is spent, so its "target" buffer is free
+        zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], r.shape[1])))
+        np.matmul(zr.reshape(-1, 2 * r.shape[1]), _tail_adjoint(cfg, r.shape[1]),
+                  out=grad.view(np.float64))
+        return loss
 
-    loss, kept, std, resid = _spectral_residual(x3, t3, cfg, layer, m)
-    g = resid[:, 1 : 1 + cfg.n_out]
-    # 4/(m n) * std folds the 2/m MSE factor, irfft's 2/n on every used
-    # bin and the instance std into one scaling
-    g *= (4.0 / (m * n)) * std
-    if cfg.n_out == n // 2:
-        # irfft ignores the imaginary part of the Nyquist bin and counts it once
-        g[:, -1] = g[:, -1].real * 0.5
-    d_weight = np.conjugate(kept, out=kept).T @ g  # kept is scratch; conjugate it in place
-    d_bias = g.sum(axis=0)
-    return loss, d_weight, d_bias
+    z, b, e0 = features
+    resid = np.matmul(z, operand, out=_scratch("work", b.shape, np.complex128))
+    resid -= b
+    nyquist = cfg.n_out == n // 2
+    if nyquist:
+        resid[:, -1].imag = 0.0  # irfft ignores the Nyquist bin's imaginary part
+    # a real signal's energy counts each bin below Nyquist twice, the Nyquist bin once
+    energy = float(e0.sum()) + 2.0 * np.vdot(resid, resid).real
+    if nyquist:
+        energy -= np.vdot(resid[:, -1], resid[:, -1]).real
+        resid[:, -1] *= 0.5
+    # 4/(m n) folds the 2/m MSE factor and irfft's 2/n on every used bin
+    np.matmul(np.conjugate(z, out=z).T, resid, out=grad)
+    grad *= 4.0 / (m * n)
+    return energy / (n * m)
+
+
+def _batch_pass(x3, features, cfg: ModelConfig, operand, m: int, grad) -> float:
+    """The loss of a batch shaped like x3, with its gradient [db; dW] in grad.
+
+    features(w) gives `_features` of the batch's window slice w. Where
+    `_splits(x3)` holds, the batch runs as two half batches, each both
+    passes, and their losses and gradients are added; operand serves both.
+    """
+    if not _splits(x3):
+        return _layer_pass(features(slice(0, len(x3))), cfg, operand, m, grad)
+    second = np.empty_like(grad)
+    first_loss, second_loss = _halves(
+        lambda w: _layer_pass(features(w), cfg, operand, m, second if w.start else grad),
+        len(x3))
+    grad += second
+    return first_loss + second_loss
+
+
+def _checked_pair(x, target, cfg: ModelConfig):
+    """(x3, t3): an input and a target batch as `model_backward` accepts them."""
+    x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
+    t3, _ = _as_batch(target, cfg.target_rows, cfg.channels,
+                      f"{cfg.supervision.value} target")
+    if t3.shape[0] != x3.shape[0]:
+        raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
+    _check_finite(x3)
+    return x3, t3
 
 
 def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
@@ -517,17 +594,11 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     supervision.
     """
     _check_layer(cfg, layer)
-    x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    t3, _ = _as_batch(target, cfg.target_rows, cfg.channels,
-                      f"{cfg.supervision.value} target")
-    if t3.shape[0] != x3.shape[0]:
-        raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
-    _check_finite(x3)
-    if not _splits(x3):
-        return _loss_and_gradient(x3, t3, cfg, layer, t3.size)
-    first, second = _halves(
-        lambda w: _loss_and_gradient(x3[w], t3[w], cfg, layer, t3.size), len(x3))
-    return tuple(a + b for a, b in zip(first, second))
+    x3, t3 = _checked_pair(x, target, cfg)
+    grad = np.empty((cfg.n_in + 1, cfg.n_out), np.complex128)  # [db; dW]
+    loss = _batch_pass(x3, lambda w: _features(x3[w], t3[w], cfg), cfg,
+                       _layer_operand(cfg, layer), t3.size, grad)
+    return loss, grad[1:], grad[0]
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ComplexLinear:

@@ -11,11 +11,21 @@ The same fact makes a layer's validation MSE a quadratic form in (W, b). A
 fit that may run more than one epoch takes the validation set's statistics
 once (`validation_statistics`) and scores every epoch from them; only the
 restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
+
+It also makes everything an Adam step needs of its windows, apart from the
+layer, fixed data: the model's feature pass (`model._features`). Such a fit
+takes the feature pass over every training window once, into one table, when
+that table holds at most FEATURE_TABLE_VALUES values; each batch then gathers
+its rows of the table and runs only the layer pass (`model._layer_pass`) and
+one Adam step. The bits are those of a loop that calls `model_backward` on
+each batch, which is what a one-epoch fit, or one whose table would be larger,
+runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -31,9 +41,7 @@ from .model import (
     init_params,
     model_backward,
     model_forward,  # not called here; the benchmark trace wraps training.model_forward
-    pack_params,
     param_count,
-    unpack_params,
 )
 
 # relative val-MSE improvement below this counts as no improvement
@@ -43,6 +51,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 64  # windows per `evaluate` batch, each a slice, so a view of the windows
+# the most float64 values (16 MiB) a fit's table of training-window features
+# may hold; a fit that needs more takes each batch's features per step
+FEATURE_TABLE_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,8 @@ def _scored_rows(windows, eval_steps: int | None) -> int:
     return k
 
 
-def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
-    """sums(z, u) of `model._tail_rows` for each part of the windows, in window order.
+def _parts(cfg: ModelConfig, windows, work):
+    """work(x3, t3, lo) for each part of the windows, in window order; lo is its first window.
 
     The windows go EVAL_BATCH at a time through the model's input checks; a
     large slice is taken as two half batches, as the model takes it, so the
@@ -162,9 +173,14 @@ def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
         mdl._check_finite(x3)
 
         def part(w):
-            return sums(*mdl._tail_rows(x3[w], t[w], cfg, k))
+            return work(x3[w], t[w], lo + w.start)
 
-        yield from mdl._halves(part, len(x3)) if mdl._splits(x3) else (part(slice(None)),)
+        yield from mdl._halves(part, len(x3)) if mdl._splits(x3) else (part(slice(0, len(x3))),)
+
+
+def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
+    """sums(z, u) of `model._tail_rows` for each part of the windows (`_parts`)."""
+    return _parts(cfg, windows, lambda x3, t3, _: sums(*mdl._tail_rows(x3, t3, cfg, k)))
 
 
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
@@ -232,6 +248,59 @@ def validation_statistics(cfg: ModelConfig, windows,
                          len(windows) * k * cfg.channels)
 
 
+def _table_backward(cfg: ModelConfig, windows, batch_size: int):
+    """A per-batch backward pass that reads a table of every window's features.
+
+    Takes `model._features` of all the windows once into one table, a row
+    per instance channel, window-major, with the features side by side, and
+    returns backward(idx, layer, stacked, grad): the loss of the batch of
+    windows idx, with its gradient [db; dW] written into grad, as
+    `model_backward` computes them, where stacked is [b; W] of the layer.
+    Returns None when the table would hold more than FEATURE_TABLE_VALUES
+    values, before allocating it.
+    """
+    channels = cfg.channels
+    probe = mdl._features(*mdl._checked_pair(*windows.batch(slice(0, 1)), cfg), cfg)
+    widths = [f.nbytes // 8 // channels for f in probe]  # float64 values per row
+    if len(windows) * channels * sum(widths) > FEATURE_TABLE_VALUES:
+        return None
+
+    def columns(rows):
+        """Views of each feature's columns of the 2-D float64 `rows`."""
+        edges = np.cumsum([0, *widths])
+        return [rows[:, lo:hi].view(f.dtype).reshape(len(rows), *f.shape[1:])
+                for lo, hi, f in zip(edges, edges[1:], probe)]
+
+    table = np.empty((len(windows) * channels, sum(widths)))
+    features = columns(table)
+
+    def store(x3, t3, lo):
+        for column, f in zip(features, mdl._features(x3, t3, cfg)):
+            column[lo * channels : lo * channels + len(f)] = f
+
+    for _ in _parts(cfg, windows, store):
+        pass
+    gathered = np.empty((min(batch_size, len(windows)) * channels, table.shape[1]))
+    batch_features = columns(gathered)
+    offsets = np.arange(channels)
+
+    @functools.cache
+    def like_batch(size):
+        """A stand-in for a batch of `size` windows, whose shape alone `model._splits` reads."""
+        return np.broadcast_to(0.0, (size, cfg.input_len, channels))
+
+    def backward(idx, layer, stacked, grad):
+        rows = (idx[:, None] * channels + offsets).ravel()
+        # mode="clip" writes straight into out; rows are in range
+        np.take(table, rows, axis=0, out=gathered[: len(rows)], mode="clip")
+        return mdl._batch_pass(
+            like_batch(idx.size),
+            lambda w: [f[w.start * channels : w.stop * channels] for f in batch_features], cfg,
+            mdl._layer_operand(cfg, layer, stacked), idx.size * cfg.target_rows * channels, grad)
+
+    return backward
+
+
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
           spec: TrainSpec, eval_steps: int | None = None):
     """Train with seeded shuffling and early stopping on the validation MSE.
@@ -239,7 +308,8 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     Returns (best layer, history). The parameters of the last epoch that
     improved the best validation MSE by at least 1e-6 relative are restored
     (`restored_epoch(history)`); training stops once `patience` epochs pass
-    without such an improvement.
+    without such an improvement. Each batch of an epoch's seeded order is one
+    Adam step.
 
     When spec.max_epochs > 1, each epoch's val MSE comes from statistics
     taken once before the first epoch (`validation_statistics`), and after
@@ -247,17 +317,26 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     MAE replace its entry. The other epochs' val MSE agrees with `evaluate`'s
     to rounding, so a stopping decision could differ from one made on
     `evaluate` only within rounding of the 1e-6 threshold. A one-epoch fit
-    makes no such decision and scores its epoch by `evaluate` alone.
+    makes no such decision and scores its epoch by `evaluate` alone. Such a
+    fit also takes the training windows' features once, when they fit in
+    FEATURE_TABLE_VALUES (see the module docstring); a one-epoch fit calls
+    `model_backward` per batch.
     """
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise InvalidArgumentError("train and validation window sets must be nonempty")
-    val_stats = (validation_statistics(cfg, val_windows, eval_steps)
-                 if spec.max_epochs > 1 else None)
+    mdl._check_layer(cfg, layer)
+    val_stats = from_table = None
+    if spec.max_epochs > 1:
+        val_stats = validation_statistics(cfg, val_windows, eval_steps)
+        from_table = _table_backward(cfg, train_windows, spec.batch_size)
     rng = np.random.default_rng(spec.seed)
-    theta = pack_params(layer)
-    view = unpack_params(theta, cfg)  # Adam updates theta in place, so the view tracks it
-    grads = np.empty_like(theta)
-    grad_view = unpack_params(grads, cfg)  # each batch's (dW, db), packed like theta
+    # the layer as [b; W], the order of the layer pass's gradient; Adam works
+    # elementwise, so the order of theta does not change a bit
+    stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)
+    theta = stacked.reshape(-1).view(np.float64)  # Adam steps theta in place, stacked tracks it
+    view = ComplexLinear(stacked[1:], stacked[0])
+    grad = np.empty_like(stacked)  # each batch's [db; dW]
+    grads = grad.reshape(-1).view(np.float64)
     adam = AdamState.zeros(theta.size)
     n = len(train_windows)
 
@@ -270,10 +349,12 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         loss_sum = 0.0
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            # neither the batch nor (dW, db) outlives this statement, so the
-            # next batch is gathered into the memory they free
-            loss, grad_view.weight[...], grad_view.bias[...] = model_backward(
-                *train_windows.batch(idx), cfg, view)
+            if from_table is not None:
+                loss = from_table(idx, view, stacked, grad)
+            else:
+                # neither the batch nor (dW, db) outlives this statement, so
+                # the next batch is gathered into the memory they free
+                loss, grad[1:], grad[0] = model_backward(*train_windows.batch(idx), cfg, view)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}"
@@ -297,7 +378,8 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             stale += 1
             if stale >= spec.patience:
                 break
-    best = unpack_params(best_theta, cfg).copy()
+    best_stacked = best_theta.view(np.complex128).reshape(stacked.shape)
+    best = ComplexLinear(best_stacked[1:].copy(), best_stacked[0].copy())
     if val_stats is not None:
         restored = restored_epoch(history)
         val_mse, val_mae = evaluate(cfg, best, val_windows, eval_steps)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from freqcast import model, training
-from freqcast.cli import _train_spec, main, read_config_file, validate_config
+from freqcast.cli import _scores_csv_text, _train_spec, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
     SplitRule,
@@ -505,6 +505,20 @@ def test_detect_needs_model_source(tmp_path, sine_csv, capsys):
                        labels="x.csv")
     assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_scores_csv_text_matches_savetxt(tmp_path):
+    # the bytes np.savetxt wrote for scores.csv, from one join
+    rng = np.random.default_rng(8)
+    scores = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
+                             [0.0, -0.0, 1.0, 123456789012.0, 5e-324]])
+    labels = rng.random(len(scores)) < 0.3
+    start = 4000
+    rows = np.column_stack([np.arange(start, start + len(scores)), scores, labels])
+    np.savetxt(tmp_path / "scores.csv", rows, fmt="%d,%.10g,%d",
+               header="timestep,score,label", comments="")
+    want = (tmp_path / "scores.csv").read_bytes()
+    assert _scores_csv_text(start, scores, labels).encode() == want
 
 
 def test_detect_end_to_end(tmp_path):

@@ -396,6 +396,43 @@ def test_forecast_only_backward_matches_oracles(input_len, horizon, period, harm
                 assert max_rel_err(analytic, numeric) < 1e-4
 
 
+@settings(max_examples=40, deadline=None)
+@given(input_len=st.integers(1, 8).map(lambda n: 2 * n),
+       horizon=st.integers(1, 8).map(lambda n: 2 * n), period=st.integers(1, 8),
+       harmonic=st.integers(0, 2),  # 0 keeps every bin, so the layer reaches Nyquist
+       reconstruct=st.booleans(), channels=st.integers(1, 3), batch=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_whole_window_backward_matches_oracles(input_len, horizon, period, harmonic,
+                                               reconstruct, channels, batch, seed):
+    # the spectral loss R = z~ W~ - B against the time-domain MSE of the full
+    # forward pass, and the gradient against central differences of that
+    # MSE, with the batch computed whole and as two half batches; a
+    # reconstruction model upsamples input_len rows by a factor of 1 to 5
+    if reconstruct:
+        factor = horizon // 4 + 1
+        cfg = ModelConfig.for_reconstruction(input_len * factor, factor, channels)
+    else:
+        cfg = ModelConfig.for_forecast(input_len, horizon, period, harmonic, channels)
+    rng = np.random.default_rng(seed)
+    layer = init_params(cfg, seed)
+    layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
+    x = rng.normal(size=(batch, cfg.input_len, channels)) * 2.0 + 5.0
+    t = rng.normal(size=(batch, cfg.output_len, channels)) * 2.0 + 4.0
+
+    def time_domain_loss(w, b):
+        return np.mean((model_forward(x, cfg, ComplexLinear(w, b)) - t) ** 2)
+
+    want = time_domain_loss(layer.weight, layer.bias)
+    fd = finite_diff_grads(x, t, cfg, layer, loss_of=time_domain_loss)
+    with pytest.MonkeyPatch.context() as patch:
+        for halves in (False, True):
+            patch.setattr(model, "_splits", lambda x3: halves and len(x3) >= 2)
+            loss, *grads = model_backward(x, t, cfg, layer)
+            assert abs(loss - want) <= 1e-12 * want
+            for analytic, numeric in zip(grads, fd):
+                assert max_rel_err(analytic, numeric) < 1e-4
+
+
 def test_gradient_linear_in_residual():
     cfg = ModelConfig.for_forecast(16, 8, 4, 0, 1)
     layer = init_params(cfg, 29)

@@ -504,6 +504,113 @@ def test_multi_epoch_fit_evaluates_once(monkeypatch):
     assert all(math.isnan(h.val_mae) for h in history if h is not restored)
 
 
+# --- the feature table ------------------------------------------------------------
+
+def _reference_fit(cfg, layer, windows, spec):
+    """Per-epoch (train MSE, layer) of Adam with one `model_backward` call per batch."""
+    rng = np.random.default_rng(spec.seed)
+    theta = pack_params(layer)
+    view = unpack_params(theta, cfg)
+    adam = AdamState.zeros(theta.size)
+    epochs = []
+    for _ in range(spec.max_epochs):
+        order = rng.permutation(len(windows))
+        loss_sum = 0.0
+        for lo in range(0, len(windows), spec.batch_size):
+            idx = order[lo : lo + spec.batch_size]
+            loss, dw, db = model.model_backward(*windows.batch(idx), cfg, view)
+            adam_step(theta, pack_params(ComplexLinear(dw, db)), adam, spec)
+            loss_sum += loss * idx.size
+        epochs.append((loss_sum / len(windows), unpack_params(theta, cfg).copy()))
+    return epochs
+
+
+def _table_fit(name):
+    """(cfg, train windows, spec) of one table case; every spec runs to its cap."""
+    rng = np.random.default_rng(60)
+    if name == "detect":
+        # detect's model and batch size: 734 windows, whose last batch holds 30
+        cfg = ModelConfig.for_reconstruction(200, 4, 1)
+        windows = reconstruction_windows(rng.normal(size=(933, 1)).cumsum(axis=0), 200, 4)
+        return cfg, windows, TrainSpec(learning_rate=1e-2, max_epochs=3, patience=3)
+    if name == "split":
+        # batches of 100 x 96 x 7 values run as two halves; the last, of 50, does not
+        cfg = ModelConfig.for_forecast(96, 32, 24, 2, 7)
+        windows = _forecast_windows(rng.normal(size=(377, 7)), cfg)
+        return cfg, windows, TrainSpec(batch_size=100, max_epochs=2, patience=2)
+    supervision = Supervision.FORECAST_ONLY if name == "forecast-only" else \
+        Supervision.BACKCAST_AND_FORECAST
+    cfg = ModelConfig.for_forecast(24, 8, 6, 2, 3, supervision)
+    windows = _forecast_windows(rng.normal(size=(331, 3)).cumsum(axis=0), cfg)
+    return cfg, windows, TrainSpec(learning_rate=1e-2, batch_size=16, max_epochs=3, patience=3)
+
+
+def _table_values(cfg, windows):
+    """The float64 values of a fit's feature table: z~, then B and e0 or u per instance channel."""
+    if cfg.target_rows < cfg.output_len:
+        row = 2 * (cfg.n_in + 1) + cfg.target_rows
+    else:
+        row = 2 * (cfg.n_in + 1) + 2 * cfg.n_out + 1
+    return len(windows) * cfg.channels * row
+
+
+def _counted_backward(monkeypatch):
+    calls = []
+    backward = training.model_backward
+    monkeypatch.setattr(training, "model_backward",
+                        lambda *args: calls.append(1) or backward(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, idle", [
+    ("detect", False), ("backcast+forecast", False), ("forecast-only", False),
+    ("split", False), ("split", True),
+])
+def test_table_fit_repeats_the_per_batch_loop_bit_for_bit(monkeypatch, name, idle):
+    # the table's rows through the layer pass give the bits of model_backward
+    # on each batch, wherever a half batch runs
+    monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
+    calls = _counted_backward(monkeypatch)
+    cfg, windows, spec = _table_fit(name)
+    layer = init_params(cfg, 5)
+    best, history = train(cfg, layer, windows, windows, spec)
+    assert not calls  # the table served every batch
+    reference = _reference_fit(cfg, layer, windows, spec)
+    assert len(history) == spec.max_epochs
+    assert [h.train_mse for h in history] == [mse for mse, _ in reference]
+    kept = reference[restored_epoch(history).epoch - 1][1]
+    assert np.array_equal(best.weight, kept.weight) and np.array_equal(best.bias, kept.bias)
+
+
+@pytest.mark.parametrize("name", ["detect", "forecast-only"])
+def test_feature_table_budget_edge(monkeypatch, name):
+    # a table one value over the budget is not built, and either path writes the same bits
+    cfg, windows, spec = _table_fit(name)
+    size = _table_values(cfg, windows)
+    results = []
+    for budget, batches in ((size - 1, -(-len(windows) // spec.batch_size)), (size, 0)):
+        monkeypatch.setattr(training, "FEATURE_TABLE_VALUES", budget)
+        calls = _counted_backward(monkeypatch)
+        results.append(train(cfg, init_params(cfg, 5), windows, windows, spec))
+        assert len(calls) == spec.max_epochs * batches
+        assert (training._table_backward(cfg, windows, spec.batch_size) is None) == bool(batches)
+    (per_batch, per_batch_history), (table, table_history) = results
+    assert per_batch_history == table_history
+    assert np.array_equal(per_batch.weight, table.weight)
+    assert np.array_equal(per_batch.bias, table.bias)
+
+
+def test_table_fit_rejects_a_non_finite_window_before_any_step(monkeypatch):
+    cfg, windows, spec = _table_fit("detect")
+    inputs = windows.inputs.copy()
+    inputs[500, 7, 0] = np.nan
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1))
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        train(cfg, init_params(cfg, 5), ArrayWindows(inputs, windows.targets), windows, spec)
+    assert not steps
+
+
 # --- grid search ------------------------------------------------------------------
 
 def _tiny_frame(length=260, channels=2, seed=4):
