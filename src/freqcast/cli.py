@@ -412,11 +412,12 @@ def _exactly_one(cfg: dict, first: str, second: str) -> None:
                           f"got {'both' if given else 'neither'}")
 
 
-def _scores_csv_text(start: int, scores, labels) -> str:
+def _write_scores_csv(path: Path, start: int, scores, labels) -> None:
     """scores.csv: a header, then one "timestep,score,label" line per scored row from `start`."""
-    return "timestep,score,label\n" + "".join(
-        "%d,%.10g,%d\n" % row
-        for row in zip(range(start, start + len(scores)), scores.tolist(), labels.tolist()))
+    rows = np.column_stack([np.arange(start, start + len(scores)), scores, labels])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestep,score,label\n")
+        dat._write_rows(fh, "%d,%.10g,%d\n", rows)
 
 
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
@@ -477,8 +478,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         "params": mdl.param_count(model_cfg)[0], "threshold_source": "labeled-test",
     })
     if cfg["dump_scores"]:
-        text = _scores_csv_text(split, scores.scores, labels[split:])
-        _write_atomic(run_dir / "scores.csv", lambda p: p.write_text(text, encoding="utf-8"))
+        _write_atomic(run_dir / "scores.csv",
+                      lambda p: _write_scores_csv(p, split, scores.scores, labels[split:]))
     print(f"run dir: {run_dir}")
     print(f"F1: {report.f1:.4f}  precision: {report.precision:.4f}  "
           f"recall: {report.recall:.4f}")

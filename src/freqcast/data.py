@@ -188,7 +188,37 @@ def _parsed_cells(path, reader, header, skip: int) -> list[list[float]]:
 
 
 def load_labels(path, expected_len: int | None = None) -> np.ndarray:
-    """One 0/1 integer per line -> boolean vector."""
+    """One 0/1 integer per line -> boolean vector.
+
+    Blank lines are skipped and each line is stripped; the first line that is
+    then neither 0 nor 1 raises ParseError naming it (1-based), and so does a
+    file that is not UTF-8. A file of nothing but "0\\n"/"1\\n" lines is parsed in
+    one pass (`_plain_labels`); any other goes through the line loop.
+    """
+    with open(path, "rb") as fh:
+        labels = _plain_labels(fh.read())
+    if labels is None:
+        labels = np.array(_parsed_labels(path), dtype=bool)
+    if expected_len is not None and labels.shape[0] != expected_len:
+        raise ShapeError(f"{path}: {labels.shape[0]} labels for {expected_len} timesteps")
+    return labels
+
+
+def _plain_labels(data: bytes):
+    """The labels of bytes that are only "0\\n"/"1\\n" lines, the last newline
+    optional; None for any other bytes, the empty file included."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if len(data) % 2:
+        return None
+    digits, ends = np.frombuffer(data, dtype=np.uint8).reshape(-1, 2).T
+    if not ((ends == ord("\n")).all() and ((digits == ord("0")) | (digits == ord("1"))).all()):
+        return None
+    return digits == ord("1")
+
+
+def _parsed_labels(path) -> list[bool]:
+    """The labels of the non-blank lines, each stripped line checked to be 0 or 1."""
     labels = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -201,10 +231,7 @@ def load_labels(path, expected_len: int | None = None) -> np.ndarray:
                 labels.append(text == "1")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    arr = np.array(labels, dtype=bool)
-    if expected_len is not None and arr.shape[0] != expected_len:
-        raise ShapeError(f"{path}: {arr.shape[0]} labels for {expected_len} timesteps")
-    return arr
+    return labels
 
 
 def split_label_column(frame: SeriesFrame, column: str = "label") -> tuple[SeriesFrame, np.ndarray]:
@@ -434,18 +461,42 @@ def _free_slot(rng, taken: np.ndarray, lo: int, hi: int, seg: int):
     return None
 
 
+# rows formatted by one `%` are capped at this many cells, so a writer's
+# temporary memory is one block's, whatever the file's size
+_BLOCK_CELLS = 1 << 10
+
+
+def _write_rows(fh, row_fmt: str, rows: np.ndarray) -> None:
+    """Write `row_fmt % tuple(row)` for each row of a 2-D array, one `%` per
+    block of rows."""
+    step = max(1, _BLOCK_CELLS // max(rows.shape[1], 1))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_series_csv(path, values: np.ndarray, channel_names=None) -> None:
+    """A T x C series as CSV: a header of the channel names (c0, c1, ... by
+    default), then one row of `%.10g` cells per timestep, with "\\r\\n" line
+    ends, the bytes `csv.writer` writes for them."""
     values = np.asarray(values)
+    if values.ndim != 2:
+        raise ShapeError(f"values must be a T x C matrix, got shape {values.shape}")
     if channel_names is None:
         channel_names = [f"c{i}" for i in range(values.shape[1])]
+    if len(channel_names) != values.shape[1]:
+        raise ShapeError(f"{len(channel_names)} channel names for {values.shape[1]} channels")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(channel_names)
-        for row in values:
-            writer.writerow([f"{v:.10g}" for v in row])
+        csv.writer(fh).writerow(channel_names)
+        _write_rows(fh, ",".join(["%.10g"] * values.shape[1]) + "\r\n", values)
 
 
 def write_labels_csv(path, labels: np.ndarray) -> None:
+    """One 0 or 1 per line, each ended by "\\n"."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be a vector, got shape {labels.shape}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise InvalidValueError("labels contain values other than 0/1")
     with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(labels, dtype=int):
-            fh.write(f"{v}\n")
+        _write_rows(fh, "%d\n", labels.astype(np.uint8)[:, None])

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from freqcast import model, training
-from freqcast.cli import _scores_csv_text, _train_spec, main, read_config_file, validate_config
+from freqcast import data as data_module
+from freqcast.cli import _train_spec, _write_scores_csv, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
     SplitRule,
@@ -507,18 +508,29 @@ def test_detect_needs_model_source(tmp_path, sine_csv, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def _assert_scores_csv_is_savetxt(tmp_path, start, scores, labels):
+    # the bytes np.savetxt wrote for scores.csv
+    table = np.column_stack([np.arange(start, start + len(scores)), scores, labels])
+    np.savetxt(tmp_path / "want.csv", table, fmt="%d,%.10g,%d",
+               header="timestep,score,label", comments="")
+    _write_scores_csv(tmp_path / "scores.csv", start, scores, labels)
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_scores_csv_text_matches_savetxt(tmp_path):
-    # the bytes np.savetxt wrote for scores.csv, from one join
     rng = np.random.default_rng(8)
     scores = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
                              [0.0, -0.0, 1.0, 123456789012.0, 5e-324]])
     labels = rng.random(len(scores)) < 0.3
-    start = 4000
-    rows = np.column_stack([np.arange(start, start + len(scores)), scores, labels])
-    np.savetxt(tmp_path / "scores.csv", rows, fmt="%d,%.10g,%d",
-               header="timestep,score,label", comments="")
-    want = (tmp_path / "scores.csv").read_bytes()
-    assert _scores_csv_text(start, scores, labels).encode() == want
+    _assert_scores_csv_is_savetxt(tmp_path, 4000, scores, labels)
+
+
+@pytest.mark.parametrize("rows", [0] + [data_module._BLOCK_CELLS // 3 + k for k in (-1, 0, 1)])
+def test_scores_csv_at_block_edges(tmp_path, rows):
+    # no rows, and one block of rows, one more and one fewer
+    rng = np.random.default_rng(rows)
+    scores = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    _assert_scores_csv_is_savetxt(tmp_path, 17, scores, rng.random(rows) < 0.3)
 
 
 def test_detect_end_to_end(tmp_path):

@@ -1,6 +1,10 @@
 """Ingestion, split, standardization, windowing, and synthetic-generator
 checks."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from freqcast.data import (
 from freqcast.errors import (
     InvalidArgumentError,
     InvalidLengthError,
+    InvalidValueError,
     ParseError,
     ShapeError,
 )
@@ -167,6 +172,164 @@ def test_load_labels(tmp_path):
     bad.write_text("0\n2\n")
     with pytest.raises(ParseError, match="line 2"):
         load_labels(bad)
+
+
+def _labels_outcome(path, expected_len=None):
+    """load_labels' labels as a list, or its error's type and text."""
+    try:
+        return load_labels(path, expected_len).tolist()
+    except (ParseError, ShapeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("data, expected_len, plain", [
+    (b"0\n1\n0\n1\n", 4, True),
+    (b"1\n0\n1", None, True),  # no final newline
+    (b"1", 1, True),
+    (b"0\n1\n", 3, True),  # ShapeError
+    (b"", None, False),
+    (b"", 2, False),
+    (b"\n", None, False),
+    (b"0\n\n1\n", None, False),  # a blank line
+    (b"0\n1\n\n", None, False),
+    (b"0\r\n1\r\n", 2, False),  # CRLF
+    (b"0\r\n1", None, False),
+    (b"0\r1\r", None, False),  # lone CR ends a line in text mode
+    (b" 0\n1 \n", None, False),  # spaces
+    (b"0\n\t1\n", None, False),
+    (b"0\n2\n", None, False),
+    (b"01\n", None, False),
+    (b"0\n1\n10", None, False),
+    (b"\xef\xbb\xbf0\n1\n", None, False),  # UTF-8 BOM
+    (b"0\n\xff\n", None, False),  # not UTF-8
+    (b"0\n\xff", None, False),
+    (b"0\n1\n1\n", 2, True),
+])
+def test_load_labels_parses_as_its_line_loop(tmp_path, monkeypatch, data, expected_len, plain):
+    # the one-pass parse takes only "0\n"/"1\n" lines, and gives the line loop's result
+    assert (data_module._plain_labels(data) is not None) == plain
+    path = tmp_path / "labels.csv"
+    path.write_bytes(data)
+    got = _labels_outcome(path, expected_len)
+    monkeypatch.setattr(data_module, "_plain_labels", lambda data: None)
+    assert _labels_outcome(path, expected_len) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([b"0\n", b"1\n", b"0", b"1", b"\n", b"\r\n", b"\r", b" ",
+                                 b"2\n", b"\xef\xbb\xbf", b"\xff"]), max_size=12))
+def test_load_labels_one_pass_agrees_with_line_loop(pieces):
+    data = b"".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        path.write_bytes(data)
+        got = _labels_outcome(path)
+        try:
+            want = data_module._parsed_labels(path)
+        except ParseError as exc:
+            want = f"ParseError: {exc}"
+    assert got == want
+
+
+def _series_csv_by_rows(path, values, channel_names=None):
+    """write_series_csv's former row loop, the byte oracle."""
+    values = np.asarray(values)
+    if channel_names is None:
+        channel_names = [f"c{i}" for i in range(values.shape[1])]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(channel_names)
+        for row in values:
+            writer.writerow([f"{v:.10g}" for v in row])
+
+
+def _labels_csv_by_rows(path, labels):
+    """write_labels_csv's former row loop, the byte oracle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in np.asarray(labels, dtype=int):
+            fh.write(f"{v}\n")
+
+
+def _series_values(rows, channels, seed):
+    """Normal draws at magnitudes 1e-300..1e300, led by signed zeros and extremes."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, channels)) * 10.0 ** rng.integers(-300, 301, (rows, channels))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.7976931348623157e308, 1.0, 0.1]
+    values.flat[:len(special)] = special[:values.size]
+    return values
+
+
+@pytest.mark.parametrize("channels", [1, 7])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_write_series_csv_matches_its_row_loop(tmp_path, channels, offset):
+    # rows at one block, one more and one fewer, and no rows at all
+    rows = 0 if offset is None else data_module._BLOCK_CELLS // channels + offset
+    values = _series_values(rows, channels, seed=rows + channels)
+    write_series_csv(tmp_path / "got.csv", values)
+    _series_csv_by_rows(tmp_path / "want.csv", values)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("values, names", [
+    (np.arange(-3000, 3000, 7).reshape(-1, 2) ** 5, None),  # integers, some above 1e10
+    (np.random.default_rng(4).normal(size=(300, 3)).astype(np.float32), None),
+    (np.random.default_rng(5).normal(size=(3, 3)), ["a,b", 'c"d', ""]),  # quoted names
+    (np.random.default_rng(6).normal(size=(2, 1)), [""]),
+    (np.array([[np.nan, np.inf, -np.inf], [True, False, -1e-5]]), None),
+    (np.array([[True, False]]), None),
+    (np.zeros((3, 0)), None),
+    (np.random.default_rng(7).normal(size=(2 * data_module._BLOCK_CELLS + 1, 1)), None),
+])
+def test_write_series_csv_matches_its_row_loop_on_any_input(tmp_path, values, names):
+    write_series_csv(tmp_path / "got.csv", values, names)
+    _series_csv_by_rows(tmp_path / "want.csv", values, names)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("channels", [1, 7, 2 * data_module._BLOCK_CELLS])
+def test_write_rows_formats_at_most_one_block_per_write(channels):
+    # the writers' temporary memory is one block's, whatever the file's size
+    class Writes(list):
+        write = list.append
+
+    block = max(1, data_module._BLOCK_CELLS // channels)
+    rows = np.arange((3 * block + 1) * channels, dtype=float).reshape(-1, channels)
+    writes = Writes()
+    data_module._write_rows(writes, ",".join(["%g"] * channels) + "\n", rows)
+    assert [text.count("\n") for text in writes] == [block] * 3 + [1]
+    assert "".join(writes).splitlines()[-1] == ",".join(f"{v:g}" for v in rows[-1])
+
+
+def test_write_series_csv_refuses_a_wrong_shape(tmp_path):
+    path = tmp_path / "s.csv"
+    for values in (np.zeros(3), np.zeros((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ShapeError, match="T x C matrix"):
+            write_series_csv(path, values)
+    with pytest.raises(ShapeError, match="2 channel names for 1 channels"):
+        write_series_csv(path, np.zeros((4, 1)), ["a", "b"])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [0, 1, data_module._BLOCK_CELLS - 1, data_module._BLOCK_CELLS,
+                                  data_module._BLOCK_CELLS + 1, 24000])
+def test_write_labels_csv_matches_its_row_loop(tmp_path, rows):
+    flags = np.random.default_rng(rows).random(rows) < 0.3
+    for labels in (flags, flags.astype(int), flags.astype(float), flags.tolist()):
+        write_labels_csv(tmp_path / "got.csv", labels)
+        _labels_csv_by_rows(tmp_path / "want.csv", labels)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.array_equal(load_labels(tmp_path / "got.csv", rows), flags)
+
+
+def test_write_labels_csv_refuses_other_values(tmp_path):
+    path = tmp_path / "labels.csv"
+    for labels in ([True, False, 2], [0, -1], [0.5], [1.0, np.nan]):
+        with pytest.raises(InvalidValueError, match="other than 0/1"):
+            write_labels_csv(path, labels)
+    for labels in ([[0, 1]], np.int64(1)):
+        with pytest.raises(ShapeError):
+            write_labels_csv(path, labels)
+    assert not path.exists()
 
 
 def test_split_label_column():
