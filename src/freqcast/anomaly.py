@@ -102,6 +102,17 @@ def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return adjusted
 
 
+def _rates(tp, fp, positives):
+    """(precision, recall, f1) of tp true and fp false alarms over `positives`
+    labeled rows, elementwise over arrays; an empty denominator gives 0."""
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, positives)
+    return precision, recall, ratio(2 * precision * recall, precision + recall)
+
+
 def prf1(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, float]:
     """Pointwise (precision, recall, f1, accuracy); empty denominators give 0."""
     pred = np.asarray(pred, dtype=bool)
@@ -110,10 +121,7 @@ def prf1(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, flo
         raise ShapeError(f"pred {pred.shape} and labels {labels.shape} differ")
     tp = int(np.sum(pred & labels))
     fp = int(np.sum(pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f1 = map(float, _rates(tp, fp, int(np.sum(labels))))
     accuracy = float(np.mean(pred == labels))
     return precision, recall, f1, accuracy
 
@@ -155,12 +163,7 @@ def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, Det
     negatives = np.sort(scores[~labels])
     fp = negatives.size - np.searchsorted(negatives, candidates, side="right")
 
-    # the same float expressions as prf1, one candidate per element
-    with np.errstate(invalid="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = tp / n_pos
-        f1 = np.where(precision + recall > 0,
-                      2 * precision * recall / (precision + recall), 0.0)
+    f1 = _rates(tp, fp, n_pos)[2]  # prf1's expressions, one candidate per element
     best = candidates.size - 1 - int(np.argmax(f1[::-1]))
     threshold = float(candidates[best])
     precision, recall, f1, accuracy = prf1(point_adjust(scores > threshold, labels), labels)

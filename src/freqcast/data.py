@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,8 +127,11 @@ def _plain_values(path, width: int, skip: int):
     if quotes or lines < 2:
         return None
     try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(skip, width),
-                            comments=None, ndmin=2, encoding="utf-8")
+        with warnings.catch_warnings():
+            # data rows all blank: NumPy warns "input contained no data", the row count refuses
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(skip, width),
+                                comments=None, ndmin=2, encoding="utf-8")
     except (ValueError, UnicodeDecodeError):
         return None
     if len(values) != lines - 1 or commas != lines * (width - 1) or not np.isfinite(values).all():
@@ -478,17 +482,14 @@ def _write_rows(fh, row_fmt: str, rows: np.ndarray) -> None:
 def write_series_csv(path, values: np.ndarray, channel_names=None) -> None:
     """A T x C series as CSV: a header of the channel names (c0, c1, ... by
     default), then one row of `%.10g` cells per timestep, with "\\r\\n" line
-    ends, the bytes `csv.writer` writes for them."""
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ShapeError(f"values must be a T x C matrix, got shape {values.shape}")
+    ends, the bytes `csv.writer` writes for them. A series `load_csv` would
+    refuse (`SeriesFrame`'s rules) raises before the file is opened."""
     if channel_names is None:
-        channel_names = [f"c{i}" for i in range(values.shape[1])]
-    if len(channel_names) != values.shape[1]:
-        raise ShapeError(f"{len(channel_names)} channel names for {values.shape[1]} channels")
+        channel_names = [f"c{i}" for i in range(np.shape(values)[-1] if np.ndim(values) else 0)]
+    frame = SeriesFrame(values, channel_names)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(channel_names)
-        _write_rows(fh, ",".join(["%.10g"] * values.shape[1]) + "\r\n", values)
+        csv.writer(fh).writerow(frame.channel_names)
+        _write_rows(fh, ",".join(["%.10g"] * frame.channels) + "\r\n", frame.values)
 
 
 def write_labels_csv(path, labels: np.ndarray) -> None:

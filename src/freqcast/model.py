@@ -282,9 +282,9 @@ def _cpu_idle() -> bool:
     return _blas_threads(os.environ) == 1 and (cpus or 1) > 1
 
 
-def _splits(x3) -> bool:
-    """Whether a batch is computed as two half batches; its size alone decides."""
-    return x3.shape[0] >= 2 and x3.size >= _SPLIT_VALUES
+def _splits(cfg: ModelConfig, windows: int) -> bool:
+    """Whether a batch of `windows` windows runs as two half batches; its size alone decides."""
+    return windows >= 2 and windows * cfg.input_len * cfg.channels >= _SPLIT_VALUES
 
 
 def _worker():
@@ -309,14 +309,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _halves(work, batch: int):
-    """(work(first), work(second)) for the two halves of a batch's windows, as slices.
+def _halves(work, cfg: ModelConfig, windows: int):
+    """work's results on a batch of `windows` windows, each given a slice of them.
 
-    The first half runs on the worker when a CPU is idle, else here before
-    the second. Returns or raises only once both halves finished; an
-    exception of the worker's half re-raises here.
+    That is (work(all),) for a batch that stays whole (`_splits`), else
+    (work(first), work(second)) for its two halves. The first half runs on
+    the worker when a CPU is idle, else here before the second. Returns or
+    raises only once both halves finished; an exception of the worker's half
+    re-raises here.
     """
-    first, second = slice(0, batch // 2), slice(batch // 2, batch)
+    if not _splits(cfg, windows):
+        return (work(slice(0, windows)),)
+    first, second = slice(0, windows // 2), slice(windows // 2, windows)
     if not _cpu_idle():
         return work(first), work(second)
     future = _worker().submit(work, first)
@@ -460,10 +464,7 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
     _check_layer(cfg, layer)
     x3, squeeze = _as_batch(x, cfg.input_len, cfg.channels, "input")
     _check_finite(x3)
-    if _splits(x3):
-        y_rows = np.concatenate(_halves(lambda w: _forward_rows(x3[w], cfg, layer), len(x3)))
-    else:
-        y_rows = _forward_rows(x3, cfg, layer)
+    y_rows = np.concatenate(_halves(lambda w: _forward_rows(x3[w], cfg, layer), cfg, len(x3)))
     y = y_rows.reshape(x3.shape[0], cfg.channels, cfg.output_len).transpose(0, 2, 1)
     return y[0] if squeeze else y
 
@@ -558,21 +559,22 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     return energy / (n * m)
 
 
-def _batch_pass(x3, features, cfg: ModelConfig, operand, m: int, grad) -> float:
-    """The loss of a batch shaped like x3, with its gradient [db; dW] in grad.
+def _batch_pass(windows: int, features, cfg: ModelConfig, operand, m: int, grad) -> float:
+    """The loss of a batch of `windows` windows, with its gradient [db; dW] in grad.
 
-    features(w) gives `_features` of the batch's window slice w. Where
-    `_splits(x3)` holds, the batch runs as two half batches, each both
-    passes, and their losses and gradients are added; operand serves both.
+    features(w) gives `_features` of the batch's window slice w. The batch
+    runs whole or as two half batches (`_halves`), each both passes, whose
+    losses and gradients are added; operand serves both.
     """
-    if not _splits(x3):
-        return _layer_pass(features(slice(0, len(x3))), cfg, operand, m, grad)
-    second = np.empty_like(grad)
-    first_loss, second_loss = _halves(
-        lambda w: _layer_pass(features(w), cfg, operand, m, second if w.start else grad),
-        len(x3))
-    grad += second
-    return first_loss + second_loss
+    def part(w):
+        out = np.empty_like(grad) if w.start else grad
+        return _layer_pass(features(w), cfg, operand, m, out), out
+
+    (loss, _), *rest = _halves(part, cfg, windows)
+    for second_loss, second in rest:
+        loss += second_loss
+        grad += second
+    return loss
 
 
 def _checked_pair(x, target, cfg: ModelConfig):
@@ -596,7 +598,7 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     _check_layer(cfg, layer)
     x3, t3 = _checked_pair(x, target, cfg)
     grad = np.empty((cfg.n_in + 1, cfg.n_out), np.complex128)  # [db; dW]
-    loss = _batch_pass(x3, lambda w: _features(x3[w], t3[w], cfg), cfg,
+    loss = _batch_pass(len(x3), lambda w: _features(x3[w], t3[w], cfg), cfg,
                        _layer_operand(cfg, layer), t3.size, grad)
     return loss, grad[1:], grad[0]
 

@@ -25,7 +25,6 @@ runs.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -172,10 +171,7 @@ def _parts(cfg: ModelConfig, windows, work):
         x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
         mdl._check_finite(x3)
 
-        def part(w):
-            return work(x3[w], t[w], lo + w.start)
-
-        yield from mdl._halves(part, len(x3)) if mdl._splits(x3) else (part(slice(0, len(x3))),)
+        yield from mdl._halves(lambda w: work(x3[w], t[w], lo + w.start), cfg, len(x3))
 
 
 def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
@@ -280,21 +276,16 @@ def _table_backward(cfg: ModelConfig, windows, batch_size: int):
 
     for _ in _parts(cfg, windows, store):
         pass
-    gathered = np.empty((min(batch_size, len(windows)) * channels, table.shape[1]))
-    batch_features = columns(gathered)
-    offsets = np.arange(channels)
-
-    @functools.cache
-    def like_batch(size):
-        """A stand-in for a batch of `size` windows, whose shape alone `model._splits` reads."""
-        return np.broadcast_to(0.0, (size, cfg.input_len, channels))
+    # one row per window: its channels' feature rows side by side
+    by_window = table.reshape(len(windows), -1)
+    gathered = np.empty((min(batch_size, len(windows)), by_window.shape[1]))
+    batch_features = columns(gathered.reshape(-1, table.shape[1]))
 
     def backward(idx, layer, stacked, grad):
-        rows = (idx[:, None] * channels + offsets).ravel()
-        # mode="clip" writes straight into out; rows are in range
-        np.take(table, rows, axis=0, out=gathered[: len(rows)], mode="clip")
+        # mode="clip" writes straight into out; idx is in range
+        np.take(by_window, idx, axis=0, out=gathered[: idx.size], mode="clip")
         return mdl._batch_pass(
-            like_batch(idx.size),
+            idx.size,
             lambda w: [f[w.start * channels : w.stop * channels] for f in batch_features], cfg,
             mdl._layer_operand(cfg, layer, stacked), idx.size * cfg.target_rows * channels, grad)
 

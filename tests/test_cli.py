@@ -630,7 +630,7 @@ def _split_and_serial_runs(tmp_path, monkeypatch, argv):
     normalized_bins = model._normalized_bins
     monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.add(
         threading.current_thread()) or normalized_bins(x3, cfg))
-    monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
+    monkeypatch.setattr(model, "_splits", lambda cfg, windows: windows >= 2)
     runs = []
     for worker in (True, False):
         monkeypatch.setattr(model, "_cpu_idle", lambda: worker)

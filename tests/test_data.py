@@ -3,6 +3,7 @@ checks."""
 
 import csv
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,16 @@ def test_load_csv_parses_as_its_cell_loop(tmp_path, monkeypatch, text, stamped, 
         assert isinstance(got, str) and outcome in got, got
     else:
         assert got == outcome
+
+
+@pytest.mark.parametrize("text", [b"a\r\n\r\n\r\n", b"a,b\n\n"])
+def test_load_csv_of_blank_rows_refuses_without_a_warning(tmp_path, text):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="row 2 has 0 cells"):
+            load_csv(path)
 
 
 def test_load_csv_refuses_non_utf8_text(tmp_path):
@@ -262,8 +273,8 @@ def _series_values(rows, channels, seed):
 @pytest.mark.parametrize("channels", [1, 7])
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_write_series_csv_matches_its_row_loop(tmp_path, channels, offset):
-    # rows at one block, one more and one fewer, and no rows at all
-    rows = 0 if offset is None else data_module._BLOCK_CELLS // channels + offset
+    # rows at one block, one more and one fewer, and a single row
+    rows = 1 if offset is None else data_module._BLOCK_CELLS // channels + offset
     values = _series_values(rows, channels, seed=rows + channels)
     write_series_csv(tmp_path / "got.csv", values)
     _series_csv_by_rows(tmp_path / "want.csv", values)
@@ -275,9 +286,9 @@ def test_write_series_csv_matches_its_row_loop(tmp_path, channels, offset):
     (np.random.default_rng(4).normal(size=(300, 3)).astype(np.float32), None),
     (np.random.default_rng(5).normal(size=(3, 3)), ["a,b", 'c"d', ""]),  # quoted names
     (np.random.default_rng(6).normal(size=(2, 1)), [""]),
-    (np.array([[np.nan, np.inf, -np.inf], [True, False, -1e-5]]), None),
+    (np.array([[-0.0, 5e-324, 1e300], [True, False, -1e-5]]), None),
     (np.array([[True, False]]), None),
-    (np.zeros((3, 0)), None),
+    (np.random.default_rng(8).normal(size=(1, 2 * data_module._BLOCK_CELLS + 1)), None),
     (np.random.default_rng(7).normal(size=(2 * data_module._BLOCK_CELLS + 1, 1)), None),
 ])
 def test_write_series_csv_matches_its_row_loop_on_any_input(tmp_path, values, names):
@@ -298,6 +309,24 @@ def test_write_rows_formats_at_most_one_block_per_write(channels):
     data_module._write_rows(writes, ",".join(["%g"] * channels) + "\n", rows)
     assert [text.count("\n") for text in writes] == [block] * 3 + [1]
     assert "".join(writes).splitlines()[-1] == ",".join(f"{v:g}" for v in rows[-1])
+
+
+@pytest.mark.parametrize("values, error", [
+    (np.array([[1.0, np.nan]]), InvalidValueError),
+    (np.array([[np.inf], [1.0]]), InvalidValueError),
+    (np.array([[0.5, 2.0], [3.0, -np.inf]]), InvalidValueError),
+    (np.zeros((0, 1)), ShapeError),
+    (np.zeros((0, 3)), ShapeError),
+    (np.zeros((3, 0)), ShapeError),
+], ids=["nan", "inf", "-inf", "no-rows", "no-rows-3-channels", "no-channels"])
+def test_write_series_csv_refuses_what_load_csv_refuses(tmp_path, values, error):
+    # the row loop writes these files, and load_csv refuses each of them
+    _series_csv_by_rows(tmp_path / "loop.csv", values)
+    with pytest.raises((ParseError, ShapeError)):
+        load_csv(tmp_path / "loop.csv", has_timestamp_column=False)
+    with pytest.raises(error):
+        write_series_csv(tmp_path / "s.csv", values)
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_write_series_csv_refuses_a_wrong_shape(tmp_path):

@@ -355,7 +355,7 @@ def test_backward_matches_time_domain_oracle(monkeypatch, cfg):
     x = rng.normal(size=(3, cfg.input_len, cfg.channels)) * 2.0 + 5.0
     t = rng.normal(size=(3, rows, cfg.channels)) * 2.0 + 4.0
     for halves in (False, True):
-        monkeypatch.setattr(model, "_splits", lambda x3: halves)
+        monkeypatch.setattr(model, "_splits", lambda cfg, windows: halves)
         loss, dw, db = model_backward(x, t, cfg, layer)
         want = np.mean((model_forward(x, cfg, layer)[:, -rows:] - t) ** 2)
         assert abs(loss - want) <= 1e-12 * want
@@ -389,7 +389,7 @@ def test_forecast_only_backward_matches_oracles(input_len, horizon, period, harm
     fd = finite_diff_grads(x, t, cfg, layer, loss_of=time_domain_loss)
     with pytest.MonkeyPatch.context() as patch:
         for halves in (False, True):
-            patch.setattr(model, "_splits", lambda x3: halves and len(x3) >= 2)
+            patch.setattr(model, "_splits", lambda cfg, windows: halves and windows >= 2)
             loss, *grads = model_backward(x, t, cfg, layer)
             assert abs(loss - want) <= 1e-12 * want
             for analytic, numeric in zip(grads, fd):
@@ -426,7 +426,7 @@ def test_whole_window_backward_matches_oracles(input_len, horizon, period, harmo
     fd = finite_diff_grads(x, t, cfg, layer, loss_of=time_domain_loss)
     with pytest.MonkeyPatch.context() as patch:
         for halves in (False, True):
-            patch.setattr(model, "_splits", lambda x3: halves and len(x3) >= 2)
+            patch.setattr(model, "_splits", lambda cfg, windows: halves and windows >= 2)
             loss, *grads = model_backward(x, t, cfg, layer)
             assert abs(loss - want) <= 1e-12 * want
             for analytic, numeric in zip(grads, fd):
@@ -537,7 +537,7 @@ FORECAST = Supervision.FORECAST_ONLY
 
 def _halve_every_batch(monkeypatch):
     # a batch of two or more windows is computed as two half batches
-    monkeypatch.setattr(model, "_splits", lambda x3: len(x3) >= 2)
+    monkeypatch.setattr(model, "_splits", lambda cfg, windows: windows >= 2)
 
 
 @pytest.fixture()
@@ -591,7 +591,7 @@ def test_split_passes_repeat_the_serial_bits(monkeypatch, split_log, cfg, batch)
 def test_halves_match_the_whole_batch(monkeypatch, cfg, batch):
     # the sums of the halves' loss, dW and db, and their joined forward rows,
     # agree with the whole batch's to rounding
-    monkeypatch.setattr(model, "_splits", lambda x3: False)
+    monkeypatch.setattr(model, "_splits", lambda cfg, windows: False)
     whole = _all_passes(cfg, batch, 93)
     _halve_every_batch(monkeypatch)
     halves = _all_passes(cfg, batch, 93)
@@ -660,7 +660,7 @@ def test_split_raises_only_after_both_halves_finish(monkeypatch, fail_in):
 
     failed = "first" if fail_in == "worker" else "second"
     with pytest.raises(RuntimeError, match=failed):
-        model._halves(work, 8)
+        model._halves(work, ModelConfig.for_forecast(2**13, 2, 1, 0, 1), 8)  # 2^16 input values
     assert finished == ["second" if fail_in == "worker" else "first"]
 
 
@@ -701,13 +701,26 @@ def test_split_gate_rules(blas_environment, env, cpus, idle):
 
 def test_split_needs_a_large_batch():
     # the batch's size alone decides, whatever the worker's gate reads
-    def batch(*shape):
-        return np.broadcast_to(0.0, shape)
+    def cfg(input_len, channels):
+        return ModelConfig.for_forecast(input_len, 2, 1, 0, channels)
 
-    assert not model._splits(batch(2, 2**15 - 1, 1))
-    assert model._splits(batch(2, 2**15, 1))
-    assert not model._splits(batch(1, 720, 100))  # one window is never halved
-    assert model._splits(batch(2, 720, 100))
+    assert not model._splits(cfg(302, 7), 31)  # 2^16 - 2 input values
+    assert model._splits(cfg(256, 8), 32)  # 2^16
+    assert model._splits(cfg(2**15, 1), 2)
+    assert not model._splits(cfg(720, 100), 1)  # one window is never halved
+    assert model._splits(cfg(720, 100), 2)
+
+
+def test_whole_batch_runs_once_on_the_calling_thread(monkeypatch):
+    # a batch _splits rejects is one call of work, given every window, here
+    monkeypatch.setattr(model, "_cpu_idle", lambda: True)
+    cfg = ModelConfig.for_reconstruction(200, 4, 1)
+    assert not model._splits(cfg, 64)
+    calls = []
+    got = model._halves(lambda w: calls.append((w, threading.current_thread())) or "all",
+                        cfg, 64)
+    assert got == ("all",)
+    assert calls == [(slice(0, 64), threading.main_thread())]
 
 
 @pytest.mark.parametrize("cfg, batch, starts", [
