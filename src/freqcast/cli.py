@@ -85,6 +85,12 @@ def _harmonic(text):
     return value
 
 
+def _path(text):
+    if "\0" in text:
+        raise ConfigError(f"a path cannot hold a NUL byte, got {text!r}")
+    return text
+
+
 def _supervision(text):
     try:
         return mdl.Supervision(text.strip())
@@ -103,7 +109,7 @@ _TRAIN_COMMON = {
 _SEEDS = (_list_of(_int), list(_SPEC_DEFAULTS.seeds_for_reporting))
 
 _DATASET_COMMON = {
-    "data": (str, REQUIRED),
+    "data": (_path, REQUIRED),
     "profile": (str, None),
     "period": (_int, None),
     "timestamp_column": (_bool, True),
@@ -130,18 +136,18 @@ SCHEMAS = {
     },
     "eval": {
         **_DATASET_COMMON,
-        "checkpoint": (str, REQUIRED),
+        "checkpoint": (_path, REQUIRED),
     },
     "detect": {
-        "data": (str, REQUIRED),
-        "labels": (str, None),
+        "data": (_path, REQUIRED),
+        "labels": (_path, None),
         "label_column": (str, None),
         "timestamp_column": (_bool, False),
         "train_rows": (_int, REQUIRED),
         # unset: taken from the checkpoint, else DETECT_WINDOW_FACTOR
         "window": (_int, None),
         "factor": (_int, None),
-        "checkpoint": (str, None),
+        "checkpoint": (_path, None),
         "train_first": (_bool, False),
         "dump_scores": (_bool, False),
         "seed": (_int, _SPEC_DEFAULTS.seed),
@@ -585,6 +591,10 @@ def main(argv=None) -> int:
         return 2
     except (FreqcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 3
     finally:
         if made is not None and not any(made.iterdir()):

@@ -145,7 +145,8 @@ def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
     A flagged first column (the timestamps) is skipped. Every other cell must
     parse with `float` and be finite: the first cell that fails, row by row
     and left to right, raises ParseError naming its row and column (1-based,
-    counting the header as row 1). A file that is not UTF-8 raises ParseError.
+    counting the header as row 1). A file that is not UTF-8, or that the CSV
+    reader refuses (a cell longer than its field limit), raises ParseError.
     A plain file is parsed by NumPy in one pass (`_plain_values`); any other
     goes through the cell loop, which names the failing cell.
     """
@@ -163,6 +164,8 @@ def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
                 values = np.array(_parsed_cells(path, reader, header, skip), dtype=np.float64)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a cell longer than the reader's field limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not len(values):
         raise ParseError(f"{path}: no data rows")
     return SeriesFrame(values, header[skip:])

@@ -681,7 +681,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ComplexLinear]:
     ints = struct.unpack("<8q", raw[8:72])
     if ints[5] not in _SUP_FROM_CODE:
         raise InvalidValueError(f"{path}: unknown supervision code {ints[5]}")
-    cfg = ModelConfig(ints[0], ints[1], ints[2], ints[3], ints[4], _SUP_FROM_CODE[ints[5]])
+    try:
+        cfg = ModelConfig(ints[0], ints[1], ints[2], ints[3], ints[4], _SUP_FROM_CODE[ints[5]])
+    except (InvalidArgumentError, InvalidLengthError) as exc:
+        raise InvalidValueError(f"{path}: stored config refused: {exc}") from None
     if (cfg.n_in, cfg.n_out) != (ints[6], ints[7]):
         raise InvalidValueError(
             f"{path}: stored layer dims {ints[6]}x{ints[7]} disagree with the "

@@ -14,12 +14,12 @@ restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
 
 It also makes everything an Adam step needs of its windows, apart from the
 layer, fixed data: the model's feature pass (`model._features`). Such a fit
-takes the feature pass over every training window once, into one table, when
-that table holds at most FEATURE_TABLE_VALUES values; each batch then gathers
-its rows of the table and runs only the layer pass (`model._layer_pass`) and
-one Adam step. The bits are those of a loop that calls `model_backward` on
-each batch, which is what a one-epoch fit, or one whose table would be larger,
-runs.
+takes the feature pass over every training window once, into a table of one
+array per feature shaped (windows, channels, ...), when that table holds at
+most FEATURE_TABLE_VALUES values; each batch then gathers its windows of each
+array and runs only the layer pass (`model._layer_pass`) and one Adam step.
+The bits are those of a loop that calls `model_backward` on each batch, which
+is what a one-epoch fit, or one whose table would be larger, runs.
 """
 
 from __future__ import annotations
@@ -247,47 +247,36 @@ def validation_statistics(cfg: ModelConfig, windows,
 def _table_backward(cfg: ModelConfig, windows, batch_size: int):
     """A per-batch backward pass that reads a table of every window's features.
 
-    Takes `model._features` of all the windows once into one table, a row
-    per instance channel, window-major, with the features side by side, and
-    returns backward(idx, layer, stacked, grad): the loss of the batch of
-    windows idx, with its gradient [db; dW] written into grad, as
-    `model_backward` computes them, where stacked is [b; W] of the layer.
+    Takes `model._features` of all the windows once into one array per
+    feature, (windows, channels, ...), each window's rows as the feature pass
+    gives them, and returns backward(idx, layer, stacked, grad): the loss of
+    the batch of windows idx, with its gradient [db; dW] written into grad,
+    as `model_backward` computes them, where stacked is [b; W] of the layer.
     Returns None when the table would hold more than FEATURE_TABLE_VALUES
     values, before allocating it.
     """
-    channels = cfg.channels
     probe = mdl._features(*mdl._checked_pair(*windows.batch(slice(0, 1)), cfg), cfg)
-    widths = [f.nbytes // 8 // channels for f in probe]  # float64 values per row
-    if len(windows) * channels * sum(widths) > FEATURE_TABLE_VALUES:
+    if len(windows) * sum(f.nbytes for f in probe) // 8 > FEATURE_TABLE_VALUES:
         return None
-
-    def columns(rows):
-        """Views of each feature's columns of the 2-D float64 `rows`."""
-        edges = np.cumsum([0, *widths])
-        return [rows[:, lo:hi].view(f.dtype).reshape(len(rows), *f.shape[1:])
-                for lo, hi, f in zip(edges, edges[1:], probe)]
-
-    table = np.empty((len(windows) * channels, sum(widths)))
-    features = columns(table)
+    # a one-window batch's features are (channels, ...) each
+    tables = [np.empty((len(windows), *f.shape), f.dtype) for f in probe]
 
     def store(x3, t3, lo):
-        for column, f in zip(features, mdl._features(x3, t3, cfg)):
-            column[lo * channels : lo * channels + len(f)] = f
+        for table, f in zip(tables, mdl._features(x3, t3, cfg)):
+            table[lo : lo + len(x3)] = f.reshape(-1, *table.shape[1:])
 
     for _ in _parts(cfg, windows, store):
         pass
-    # one row per window: its channels' feature rows side by side
-    by_window = table.reshape(len(windows), -1)
-    gathered = np.empty((min(batch_size, len(windows)), by_window.shape[1]))
-    batch_features = columns(gathered.reshape(-1, table.shape[1]))
+    gathered = [np.empty((min(batch_size, len(windows)), *t.shape[1:]), t.dtype) for t in tables]
 
     def backward(idx, layer, stacked, grad):
         # mode="clip" writes straight into out; idx is in range
-        np.take(by_window, idx, axis=0, out=gathered[: idx.size], mode="clip")
+        rows = [np.take(t, idx, axis=0, out=g[: idx.size], mode="clip")
+                for t, g in zip(tables, gathered)]
         return mdl._batch_pass(
-            idx.size,
-            lambda w: [f[w.start * channels : w.stop * channels] for f in batch_features], cfg,
-            mdl._layer_operand(cfg, layer, stacked), idx.size * cfg.target_rows * channels, grad)
+            idx.size, lambda w: [r[w].reshape(-1, *r.shape[2:]) for r in rows], cfg,
+            mdl._layer_operand(cfg, layer, stacked), idx.size * cfg.target_rows * cfg.channels,
+            grad)
 
     return backward
 
@@ -491,15 +480,19 @@ def read_grid_csv(path) -> list[GridRow]:
 
     A final row without its line end, which an older version's row-by-row
     append could leave, is dropped and its cell reruns. Any other malformed
-    row, an unknown supervision or a non-finite val or test MSE raises
-    ParseError.
+    row, a line the CSV reader refuses, an unknown supervision or a non-finite
+    val or test MSE raises ParseError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    records = list(csv.reader(text.splitlines()))
+    reader = csv.reader(text.splitlines())
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # such as a cell longer than the reader's field limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if text and not text.endswith("\n"):
         records.pop()  # torn final row
     if records and records[0] != GRID_CSV_FIELDS:

@@ -1049,6 +1049,50 @@ def _checkpoint_extra_bytes(tmp_path, sine_csv):
     return _edited_checkpoint(tmp_path, sine_csv, lambda raw: raw + bytes(16))
 
 
+def _checkpoint_odd_input_len(tmp_path, sine_csv):
+    # header integer 0 (bytes 8-16) is input_len
+    return _edited_checkpoint(tmp_path, sine_csv,
+                              lambda raw: raw[:8] + struct.pack("<q", 3) + raw[16:])
+
+
+def _checkpoint_negative_channels(tmp_path, sine_csv):
+    # header integer 4 (bytes 40-48) is channels
+    return _edited_checkpoint(tmp_path, sine_csv,
+                              lambda raw: raw[:40] + struct.pack("<q", -1) + raw[48:])
+
+
+OVERLONG = "1" * 140000  # longer than the CSV reader's default field limit, 131072
+
+
+def _data_with(text):
+    """A train run on a data file holding `text`."""
+    def make_argv(tmp_path, sine_csv):
+        data = tmp_path / "long.csv"
+        data.write_text(text)
+        cfg = write_config(tmp_path, "t.cfg", data=data, period=24,
+                           timestamp_column="false", input_len=32, horizon=8)
+        return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    return make_argv
+
+
+def _grid_csv_overlong_cell(tmp_path, sine_csv):
+    header = "look_back,harmonic,supervision,val_mse,test_mse,complex_entries,epochs_ran\n"
+    return _resume_finished_grid(tmp_path, sine_csv,
+                                 {"grid.csv": (header + OVERLONG + "\n").encode()})
+
+
+def _nul_in_path(command, key):
+    """A `command` run whose config file sets the path `key` to a name holding a NUL byte."""
+    def make_argv(tmp_path, sine_csv):
+        argv = _bad_value_argv(tmp_path, command)
+        cfg = Path(argv[2])
+        lines = [f"{key} = a\0b.csv" if line.startswith(f"{key} =") else line
+                 for line in cfg.read_text().splitlines()]
+        cfg.write_text("\n".join(lines) + "\n")
+        return argv
+    return make_argv
+
+
 def _label_column_holding_2(tmp_path, sine_csv):
     flags = np.zeros((260, 1))
     flags[200] = 2.0
@@ -1113,6 +1157,25 @@ def _plus(make_argv, *extra):
     (_checkpoint_unknown_supervision, 3, "forecast-2.ckpt: unknown supervision code 7"),
     (_checkpoint_other_layer_dims, 3, "forecast-2.ckpt: stored layer dims 99x"),
     (_checkpoint_extra_bytes, 3, "forecast-2.ckpt: expected "),
+    (_checkpoint_odd_input_len, 3,
+     "forecast-2.ckpt: stored config refused: input_len must be even and >= 2, got 3"),
+    (_checkpoint_negative_channels, 3,
+     "forecast-2.ckpt: stored config refused: channels must be >= 1, got -1"),
+    pytest.param(_data_with(f"a,b\n1,{OVERLONG}\n2,3\n"), 3,
+                 "long.csv: line 2: field larger than field limit", id="overlong data cell"),
+    pytest.param(_data_with(f"a,{OVERLONG}\n1,2\n"), 3,
+                 "long.csv: line 1: field larger than field limit", id="overlong header"),
+    (_grid_csv_overlong_cell, 3, "grid.csv: line 2: field larger than field limit"),
+    pytest.param(_nul_in_path("train", "data"), 2,
+                 "key 'data': a path cannot hold a NUL byte", id="NUL in data"),
+    pytest.param(_nul_in_path("detect", "labels"), 2,
+                 "key 'labels': a path cannot hold a NUL byte", id="NUL in labels"),
+    pytest.param(_nul_in_path("eval", "checkpoint"), 2,
+                 "key 'checkpoint': a path cannot hold a NUL byte", id="NUL in checkpoint"),
+    # 10^17 rows fail at allocation on any 64-bit host, so nothing is committed
+    pytest.param(lambda tmp_path, sine_csv: ["synth", "--out", str(tmp_path / "r"), "--set",
+                                             "length=100000000000000000"], 3,
+                 "error: out of memory (Unable to allocate", id="synth length=10^17"),
     (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
     pytest.param(_plus(_train_run, "--set", "max_epochs=x"), 2,
                  "key 'max_epochs': expected an integer, got 'x'", id="max_epochs=x"),
@@ -1156,7 +1219,7 @@ def test_malformed_inputs_exit_cleanly(tmp_path, sine_csv, capsys, make_argv, co
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
+    assert message in err and len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not list((tmp_path / "r").rglob("*"))  # a failed run leaves no run directory
 
 

@@ -582,7 +582,7 @@ def test_table_fit_repeats_the_per_batch_loop_bit_for_bit(monkeypatch, name, idl
     assert np.array_equal(best.weight, kept.weight) and np.array_equal(best.bias, kept.bias)
 
 
-@pytest.mark.parametrize("name", ["detect", "forecast-only"])
+@pytest.mark.parametrize("name", ["detect", "backcast+forecast", "forecast-only"])
 def test_feature_table_budget_edge(monkeypatch, name):
     # a table one value over the budget is not built, and either path writes the same bits
     cfg, windows, spec = _table_fit(name)
