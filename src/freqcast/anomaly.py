@@ -126,6 +126,13 @@ def prf1(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, flo
     return precision, recall, f1, accuracy
 
 
+def _distinct(scores: np.ndarray) -> np.ndarray:
+    """The sorted distinct scores, as `np.unique` gives them, without its lazy
+    import of `numpy.ma`."""
+    ordered = np.sort(scores)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, DetectionReport]:
     """Exact sweep over every distinct score for the best point-adjusted F1.
 
@@ -150,7 +157,7 @@ def select_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, Det
             f"{int(np.sum(~np.isfinite(scores)))} of {scores.size} anomaly scores "
             f"are not finite"
         )
-    distinct = np.unique(scores)
+    distinct = _distinct(scores)
     lowest = distinct[0]
     candidates = np.concatenate([[lowest - max(1.0, abs(lowest))], distinct])
 

@@ -150,6 +150,8 @@ SCHEMAS = {
         "checkpoint": (_path, None),
         "train_first": (_bool, False),
         "dump_scores": (_bool, False),
+        # checked as for train, so older configs keep running; the exact fit
+        # of --train-first reads none of them
         "seed": (_int, _SPEC_DEFAULTS.seed),
         **_TRAIN_COMMON,
     },
@@ -187,7 +189,7 @@ def validate_config(command: str, raw: dict[str, str]) -> dict:
     schema = SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise ConfigError(f"unknown key(s) for {command}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) for {command}: {', '.join(map(repr, unknown))}")
     cfg = {}
     for key, (parse, default) in schema.items():
         if key in raw:
@@ -429,7 +431,7 @@ def _write_scores_csv(path: Path, start: int, scores, labels) -> None:
 def cmd_detect(cfg: dict, run_dir: Path) -> None:
     _exactly_one(cfg, "checkpoint", "train_first")
     _exactly_one(cfg, "labels", "label_column")
-    spec = _train_spec(cfg, [cfg["seed"]])
+    _train_spec(cfg, [cfg["seed"]])  # refuses a bad training key, unused or not
     model_cfg = layer = None
     shape = DETECT_WINDOW_FACTOR
     if cfg["checkpoint"]:
@@ -472,8 +474,7 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         n_train = split - window + 1 - max(1, (split - window + 1) // 5)
         train_w = ad.reconstruction_windows(values[: n_train + window - 1], window, factor)
         val_w = ad.reconstruction_windows(values[n_train:split], window, factor)
-        layer, _ = trn.train(model_cfg, mdl.init_params(model_cfg, cfg["seed"]),
-                             train_w, val_w, spec, eval_steps=None)
+        layer, _ = trn.exact_fit(model_cfg, train_w, val_w)
         _write_atomic(run_dir / "model.ckpt",
                       lambda p: mdl.save_checkpoint(p, model_cfg, layer))
 

@@ -527,7 +527,8 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     """The loss of the rows of `_features`, as their share of a loss over m supervised values.
 
     Their gradient [db; dW] is written into grad, an (n_in + 1, n_out)
-    complex array. The rows are spent: the pass computes in place on them.
+    complex array; grad None skips it, for a whole-window pass only. The
+    rows are spent: the pass computes in place on them.
     """
     n = cfg.output_len
     if cfg.target_rows < n:
@@ -553,9 +554,10 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     if nyquist:
         energy -= np.vdot(resid[:, -1], resid[:, -1]).real
         resid[:, -1] *= 0.5
-    # 4/(m n) folds the 2/m MSE factor and irfft's 2/n on every used bin
-    np.matmul(np.conjugate(z, out=z).T, resid, out=grad)
-    grad *= 4.0 / (m * n)
+    if grad is not None:
+        # 4/(m n) folds the 2/m MSE factor and irfft's 2/n on every used bin
+        np.matmul(np.conjugate(z, out=z).T, resid, out=grad)
+        grad *= 4.0 / (m * n)
     return energy / (n * m)
 
 

@@ -1,11 +1,13 @@
-"""Mini-batch Adam training with early stopping, plus the look-back/harmonic
-grid search.
+"""Fitting the layer, by mini-batch Adam with early stopping or by one exact
+least-squares solve, plus the look-back/harmonic grid search.
 
 The optimization problem is linear least squares in the layer parameters
 (every stage around the layer is fixed or instance-affine), so plain Adam on
 the 2N real scalars behind the complex parameters converges reliably; the
 test suite checks the trained loss against the closed-form normal-equations
-optimum on a small instance.
+optimum on a small instance. `exact_fit`, which `detect` uses, solves the
+whole-window problem's normal equations instead; forecast-only supervision
+does not have them in that form.
 
 The same fact makes a layer's validation MSE a quadratic form in (W, b). A
 fit that may run more than one epoch takes the validation set's statistics
@@ -281,8 +283,23 @@ def _table_backward(cfg: ModelConfig, windows, batch_size: int):
     return backward
 
 
+def _check_sets(train_windows, val_windows) -> None:
+    if len(train_windows) == 0 or len(val_windows) == 0:
+        raise InvalidArgumentError("train and validation window sets must be nonempty")
+
+
+def _shared(cfg: ModelConfig, train_windows, val_windows, spec: TrainSpec,
+            eval_steps: int | None):
+    """(val statistics, table backward) of `train`, which depend on no seed; None, None
+    for a one-epoch fit."""
+    if spec.max_epochs == 1:
+        return None, None
+    return (validation_statistics(cfg, val_windows, eval_steps),
+            _table_backward(cfg, train_windows, spec.batch_size))
+
+
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
-          spec: TrainSpec, eval_steps: int | None = None):
+          spec: TrainSpec, eval_steps: int | None = None, shared=None):
     """Train with seeded shuffling and early stopping on the validation MSE.
 
     Returns (best layer, history). The parameters of the last epoch that
@@ -300,15 +317,15 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     makes no such decision and scores its epoch by `evaluate` alone. Such a
     fit also takes the training windows' features once, when they fit in
     FEATURE_TABLE_VALUES (see the module docstring); a one-epoch fit calls
-    `model_backward` per batch.
+    `model_backward` per batch. The statistics and the table depend on no
+    seed: `shared`, if given, is `_shared` of the same arguments, which
+    fits of several seeds take once.
     """
-    if len(train_windows) == 0 or len(val_windows) == 0:
-        raise InvalidArgumentError("train and validation window sets must be nonempty")
+    _check_sets(train_windows, val_windows)
     mdl._check_layer(cfg, layer)
-    val_stats = from_table = None
-    if spec.max_epochs > 1:
-        val_stats = validation_statistics(cfg, val_windows, eval_steps)
-        from_table = _table_backward(cfg, train_windows, spec.batch_size)
+    if shared is None:
+        shared = _shared(cfg, train_windows, val_windows, spec, eval_steps)
+    val_stats, from_table = shared
     rng = np.random.default_rng(spec.seed)
     # the layer as [b; W], the order of the layer pass's gradient; Adam works
     # elementwise, so the order of theta does not change a bit
@@ -367,6 +384,67 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     return best, history
 
 
+def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | None = None):
+    """(layer, one-row history) of the layer with the least whole-window training MSE.
+
+    With z~ and B of `model._features`, that loss is (sum e0 + 2 |z~ W~ - B|^2
+    - |Nyquist column|^2) / (n m), so every output bin below Nyquist is a
+    complex least-squares problem with normal equations G1 W~ = C, G1 =
+    sum z~^H z~ and C = sum z~^H B. When the layer reaches the Nyquist bin,
+    only the real part of that column reaches the output: it is the real
+    problem of design [Re z~, -Im z~] against Re B, whose normal matrix is H
+    = sum z^T z of z~ as interleaved reals z, and G1 is read off H's blocks.
+    That problem is always singular: the bias's Im column is zero, as is
+    the input Nyquist bin's when the layer keeps it. So each is solved
+    min-norm (`np.linalg.lstsq`), which also serves a singular G1 (too few
+    windows, constant channels). The sums walk the windows in `_parts`'s
+    order and add in the calling thread, so the worker changes no bit.
+
+    The history's one epoch takes its train MSE from a layer pass over the
+    training windows at the solution, and its val MSE and MAE from
+    `evaluate`.
+    """
+    _check_sets(train_windows, val_windows)
+    if cfg.target_rows < cfg.output_len:
+        raise InvalidArgumentError("the exact fit solves the whole output window; "
+                                   "forecast-only supervision needs `train`")
+    nyquist = cfg.n_out == cfg.output_len // 2
+
+    def sums(x3, t3, _):
+        z, b, _ = mdl._features(x3, t3, cfg)
+        real = z.view(np.float64)
+        # the last bin's real right side is read only when that bin is Nyquist
+        return real.T @ real, real.T @ b[:, -1].real, np.conjugate(z, out=z).T @ b
+
+    width = 2 * cfg.n_in + 2
+    gram, nyquist_cross = np.zeros((width, width)), np.zeros(width)
+    cross = np.zeros((cfg.n_in + 1, cfg.n_out), np.complex128)
+    for h, q, c in _parts(cfg, train_windows, sums):
+        gram += h
+        nyquist_cross += q
+        cross += c
+    if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
+        raise TrainingDivergedError("the exact fit's normal equations are not finite")
+    re, im = slice(0, None, 2), slice(1, None, 2)
+    g1 = gram[re, re] + gram[im, im] + 1j * (gram[re, im] - gram[im, re])
+    stacked = np.empty_like(cross)  # [b; W]
+    below = cfg.n_out - nyquist
+    stacked[:, :below] = np.linalg.lstsq(g1, cross[:, :below], rcond=None)[0]
+    if nyquist:
+        folded = np.linalg.lstsq(gram, nyquist_cross, rcond=None)[0]  # (Re, -Im) pairs
+        stacked[:, -1] = folded[re] - 1j * folded[im]
+    layer = ComplexLinear(stacked[1:], stacked[0])
+
+    m = len(train_windows) * cfg.target_rows * cfg.channels
+    train_mse = float(sum(_parts(cfg, train_windows, lambda x3, t3, _: mdl._layer_pass(
+        mdl._features(x3, t3, cfg), cfg, stacked, m, None))))
+    val_mse, val_mae = evaluate(cfg, layer, val_windows, eval_steps)
+    if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+        raise TrainingDivergedError(
+            f"non-finite exact fit: train MSE {train_mse}, validation MSE {val_mse}")
+    return layer, [EpochStats(1, train_mse, val_mse, val_mae, True)]
+
+
 @dataclass(frozen=True)
 class GridRow:
     look_back: int
@@ -405,10 +483,13 @@ def train_seeds(frame, profile, horizon: int, look_back: int, harmonic: int,
     )
     # called through the module, so a wrapper of data.split_windows sees the call
     train_w, val_w, test_w = dat.split_windows(frame, profile, look_back, horizon, supervision)
+    _check_sets(train_w, val_w)
+    # the seeds' fits share the statistics and table, which depend on no seed
+    shared = _shared(cfg, train_w, val_w, spec, horizon)
     runs = []
     for seed in spec.seeds_for_reporting:
         best, history = train(cfg, init_params(cfg, seed), train_w, val_w,
-                              replace(spec, seed=seed), eval_steps=horizon)
+                              replace(spec, seed=seed), horizon, shared)
         restored = restored_epoch(history)
         test_mse, test_mae = evaluate(cfg, best, test_w, eval_steps=horizon)
         record = {

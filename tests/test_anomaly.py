@@ -2,12 +2,18 @@
 brute-force per-window oracle, point adjustment against a brute-force segment
 scan, and the threshold sweep against an exhaustive oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcast.anomaly import (
+    _distinct,
     point_adjust,
     prf1,
     reconstruction_windows,
@@ -358,6 +364,33 @@ def test_select_threshold_exact_past_ten_thousand_rows():
         labels[start : start + rng.integers(1, 50)] = True
     scores[labels] += 1.0
     assert_exact_sweep(scores, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_scores_and_labels())
+def test_threshold_candidates_are_unique_scores(case):
+    scores, _ = case
+    assert np.array_equal(_distinct(scores), np.unique(scores))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_candidates_are_unique_scores_on_heavy_ties(seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 1 + 10**seed, 5000) / 3.0  # 1 to 1001 distinct values
+    scores[rng.integers(0, 5000, 50)] = 0.0
+    got = _distinct(scores)
+    assert got.dtype == np.float64 and np.array_equal(got, np.unique(scores))
+
+
+def test_select_threshold_loads_no_masked_arrays():
+    # np.unique imports numpy.ma on first use, about 24 ms of a detect process
+    code = ("import sys; import numpy as np; from freqcast.anomaly import select_threshold; "
+            "before = 'numpy.ma' in sys.modules; "
+            "select_threshold(np.array([0.1, 0.5, 0.5, 0.2]), np.array([0, 1, 0, 1], bool)); "
+            "assert before or 'numpy.ma' not in sys.modules")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

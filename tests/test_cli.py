@@ -13,6 +13,7 @@ import pytest
 
 from freqcast import model, training
 from freqcast import data as data_module
+from freqcast.anomaly import reconstruction_windows
 from freqcast.cli import _train_spec, _write_scores_csv, main, read_config_file, validate_config
 from freqcast.data import (
     DatasetProfile,
@@ -719,9 +720,9 @@ def test_detect_forecast_checkpoint_exits_2_before_reading_data(tmp_path, capsys
 def test_detect_rows_shorter_than_a_window_exit_2_before_training(
         tmp_path, sine_csv, capsys, monkeypatch, train_rows, code, message):
     trained = []
-    train = training.train
-    monkeypatch.setattr(training, "train",
-                        lambda *args, **kwargs: trained.append(1) or train(*args, **kwargs))
+    fit = training.exact_fit
+    monkeypatch.setattr(training, "exact_fit",
+                        lambda *args, **kwargs: trained.append(1) or fit(*args, **kwargs))
     labels = np.zeros(260, dtype=int)
     labels[240:245] = 1  # inside every scored range above
     write_labels_csv(tmp_path / "late.csv", labels)
@@ -1234,3 +1235,51 @@ def test_detect_label_column_matches_labels_file(tmp_path, sine_csv):
     from_file, from_column = run_dirs(tmp_path / "r")
     assert (from_file / "report.json").read_bytes() \
         == (from_column / "report.json").read_bytes()
+
+
+# --- detect's exact fit ------------------------------------------------------------
+
+def test_detect_fits_exactly(tmp_path, synth_stream, monkeypatch):
+    counts = {name: [] for name in ("train", "exact_fit")}
+    for name, calls in counts.items():
+        real = getattr(training, name)
+        monkeypatch.setattr(training, name, lambda *args, real=real, calls=calls, **kwargs:
+                            calls.append(1) or real(*args, **kwargs))
+    values, labels = synth_stream
+    cfg = write_config(tmp_path, "d.cfg", data=values, labels=labels, train_rows=375,
+                       window=80, factor=4, max_epochs=3, seed=1)
+    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--train-first"]) == 0
+    assert (len(counts["train"]), len(counts["exact_fit"])) == (0, 1)
+    (run_dir,) = run_dirs(tmp_path / "r")
+    model_cfg, layer = load_checkpoint(run_dir / "model.ckpt")  # refuses non-finite weights
+    frame = load_csv(values, False)
+    values = standardize(frame, (0, 375))[0].values
+    n_train = 375 - 80 + 1 - (375 - 80 + 1) // 5
+    want, _ = training.exact_fit(model_cfg,
+                                 reconstruction_windows(values[: n_train + 79], 80, 4),
+                                 reconstruction_windows(values[n_train:375], 80, 4))
+    assert np.array_equal(layer.weight, want.weight) and np.array_equal(layer.bias, want.bias)
+    assert 0.0 < json.loads((run_dir / "report.json").read_text())["f1"] <= 1.0
+
+
+def test_detect_fits_a_constant_channel(tmp_path, synth_stream):
+    values, labels = synth_stream
+    series = load_csv(values, False).values
+    stream = tmp_path / "stream.csv"
+    write_series_csv(stream, np.hstack([series, np.full_like(series, 3.0)]), ["x", "flat"])
+    cfg = write_config(tmp_path, "d.cfg", data=stream, labels=labels, train_rows=375,
+                       window=80, factor=4)
+    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--train-first"]) == 0
+    (run_dir,) = run_dirs(tmp_path / "r")
+    _, layer = load_checkpoint(run_dir / "model.ckpt")  # refuses non-finite weights
+    assert np.abs(layer.weight).max() > 0.0
+
+
+def test_unknown_key_is_named_by_repr(tmp_path, sine_csv, capsys):
+    cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24, input_len=32, horizon=8)
+    cfg.write_text(cfg.read_text() + "in\x01put_len = 4\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key(s) for train: 'in\\x01put_len'" in err and "\x01" not in err

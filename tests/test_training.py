@@ -3,6 +3,7 @@ least-squares oracle for the (linear) optimization problem."""
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -609,6 +610,135 @@ def test_table_fit_rejects_a_non_finite_window_before_any_step(monkeypatch):
     with pytest.raises(InvalidValueError, match="non-finite"):
         train(cfg, init_params(cfg, 5), ArrayWindows(inputs, windows.targets), windows, spec)
     assert not steps
+
+
+# --- the exact fit -------------------------------------------------------------------
+
+WHOLE_WINDOW = ["detect", "tail-backcast+forecast", "channels-whole-window"]
+
+
+def _whole_set_gradient(cfg, windows, layer):
+    _, dw, db = model.model_backward(*windows.batch(slice(None)), cfg, layer)
+    return math.sqrt(np.vdot(dw, dw).real + np.vdot(db, db).real)
+
+
+@pytest.mark.parametrize("name", WHOLE_WINDOW)
+def test_exact_fit_solves_the_normal_equations(name):
+    cfg, windows, _ = _geometry(name)
+    want = _least_squares_layer(cfg, training.validation_statistics(cfg, windows, None))
+    layer, history = training.exact_fit(cfg, windows, windows)
+    scale = max(np.abs(want.weight).max(), np.abs(want.bias).max())
+    assert np.abs(layer.weight - want.weight).max() <= 1e-9 * scale
+    assert np.abs(layer.bias - want.bias).max() <= 1e-9 * scale
+    assert len(history) == 1 and history[0].epoch == 1 and history[0].improved
+    assert restored_epoch(history) is history[0]
+    assert (history[0].val_mse, history[0].val_mae) == evaluate(cfg, layer, windows)
+    whole, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, layer)
+    assert abs(history[0].train_mse - whole) <= 1e-12 * whole
+
+
+@pytest.mark.parametrize("name", WHOLE_WINDOW)
+def test_exact_fit_zeroes_the_whole_set_gradient(name):
+    cfg, windows, _ = _geometry(name)
+    layer, _ = training.exact_fit(cfg, windows, windows)
+    zero = ComplexLinear(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+    assert _whole_set_gradient(cfg, windows, layer) <= 1e-10 * _whole_set_gradient(
+        cfg, windows, zero)
+
+
+@pytest.mark.parametrize("name", ["detect", "backcast+forecast", "split"])
+def test_exact_train_mse_is_at_most_adams(name):
+    cfg, windows, spec = _table_fit(name)
+    _, (epoch,) = training.exact_fit(cfg, windows, windows)
+    adam, history = train(cfg, init_params(cfg, spec.seed), windows, windows, spec)
+    adam_mse, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, adam)
+    assert epoch.train_mse <= adam_mse
+    assert epoch.train_mse <= min(h.train_mse for h in history)
+
+
+def _min_norm_layer(cfg, windows):
+    """The min-norm least-squares layer, by pseudo-inverse of the stacked feature rows."""
+    x3, t3 = model._checked_pair(*windows.batch(slice(None)), cfg)
+    z, b, _ = (np.copy(f) for f in model._features(x3, t3, cfg))
+    stacked = np.linalg.pinv(z) @ b
+    if cfg.n_out == cfg.output_len // 2:  # real problem [Re z, -Im z] against Re B
+        folded = np.linalg.pinv(np.hstack((z.real, -z.imag))) @ b[:, -1].real
+        stacked[:, -1] = folded[: len(z.T)] + 1j * folded[len(z.T) :]  # [Re w, Im w]
+    return stacked
+
+
+@pytest.mark.parametrize("case", ["constant-channel", "few-windows"])
+def test_exact_fit_of_a_singular_problem_is_finite_and_min_norm(case):
+    rng = np.random.default_rng(70)
+    if case == "constant-channel":  # the normalizer floors its std at RIN_EPS
+        cfg = ModelConfig.for_reconstruction(40, 4, 2)
+        rows = np.column_stack((rng.normal(size=300).cumsum(), np.full(300, 3.0)))
+        windows = reconstruction_windows(rows, 40, 4)
+    else:  # 3 rows of z~ against 6 complex unknowns per output bin
+        cfg = ModelConfig.for_reconstruction(40, 4, 1)
+        windows = reconstruction_windows(rng.normal(size=(42, 1)), 40, 4)
+    layer, (epoch,) = training.exact_fit(cfg, windows, windows)
+    assert np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()
+    assert math.isfinite(epoch.train_mse) and math.isfinite(epoch.val_mse)
+    want = _min_norm_layer(cfg, windows)
+    got = np.concatenate((layer.bias[None], layer.weight))
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_exact_fit_refuses_forecast_only_supervision():
+    cfg, windows, steps = _geometry("tail-forecast-only")
+    with pytest.raises(InvalidArgumentError, match="forecast-only supervision needs"):
+        training.exact_fit(cfg, windows, windows, steps)
+
+
+def test_exact_fit_refuses_non_finite_normal_equations():
+    cfg, windows, _ = _geometry("channels-whole-window")
+    targets = windows.targets.copy()
+    targets[4, 2, 1] = np.inf
+    with pytest.raises(TrainingDivergedError, match="not finite"):
+        with np.errstate(invalid="ignore"):  # the inf target's spectrum holds inf - inf
+            training.exact_fit(cfg, ArrayWindows(windows.inputs, targets), windows)
+
+
+def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
+    cfg, windows, _ = _table_fit("split")  # its 64-window slices split, on the worker if idle
+    results = []
+    for idle in (False, True):
+        monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
+        results.append(training.exact_fit(cfg, windows, windows))
+    (serial, serial_history), (split, split_history) = results
+    assert np.array_equal(serial.weight, split.weight)
+    assert np.array_equal(serial.bias, split.bias)
+    assert serial_history == split_history
+
+
+# --- what a cell's seeds share ----------------------------------------------------
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(training, name)
+    monkeypatch.setattr(training, name,
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_train_seeds_builds_the_shared_state_once_per_cell(monkeypatch):
+    frame = _tiny_frame(channels=3)
+    spec = TrainSpec(max_epochs=3, patience=3, seeds_for_reporting=(0, 1, 2))
+    stats = _counted(monkeypatch, "validation_statistics")
+    tables = _counted(monkeypatch, "_table_backward")
+    cfg, runs = training.train_seeds(frame, TINY_PROFILE, 8, 32, 1,
+                                     Supervision.BACKCAST_AND_FORECAST, spec)
+    assert len(stats) == 1 and len(tables) == 1 and len(runs) == 3
+    # each seed's fit is the one `train` makes from that seed alone
+    train_w, val_w, _ = training.dat.split_windows(frame, TINY_PROFILE, 32, 8,
+                                                   Supervision.BACKCAST_AND_FORECAST)
+    for seed, (record, best, history) in zip(spec.seeds_for_reporting, runs):
+        alone, alone_history = train(cfg, init_params(cfg, seed), train_w, val_w,
+                                     replace(spec, seed=seed), eval_steps=8)
+        assert record["seed"] == seed and history == alone_history
+        assert np.array_equal(best.weight, alone.weight)
+        assert np.array_equal(best.bias, alone.bias)
 
 
 # --- grid search ------------------------------------------------------------------
