@@ -284,14 +284,38 @@ class ChannelStats:
     std: np.ndarray
 
 
+def _channel_moments(rows: np.ndarray):
+    """(mean, std) of each column of a block of finite rows, with NumPy's arithmetic.
+
+    The moments are taken on each column times 2^-e, where 2^e bounds its
+    largest magnitude (`np.frexp`), so values near either end of the float
+    range neither overflow nor underflow when squared. Scaling by a power of
+    two is exact: where the scaled values and squares stay normal, the
+    results are bit for bit `rows.mean(axis=0)` and `rows.std(axis=0)`.
+    The scaled copy is centred and squared in place, and freed on return.
+    """
+    exponent = np.frexp(np.maximum(rows.max(axis=0), -rows.min(axis=0)))[1]
+    scaled = np.ldexp(rows, -exponent)
+    # np.mean, then np.std's centre, square, sum and divide by the count
+    mean = scaled.sum(axis=0) / len(rows)
+    scaled -= mean
+    np.multiply(scaled, scaled, out=scaled)
+    var = scaled.sum(axis=0) / len(rows)
+    return np.ldexp(mean, exponent), np.ldexp(np.sqrt(var), exponent)
+
+
 def standardize(frame: SeriesFrame, train_range: tuple[int, int]):
-    """Standardize every row with per-channel statistics of the train rows only."""
+    """Standardize every row with per-channel statistics of the train rows only.
+
+    The statistics are `_channel_moments` of the train rows, so a series of
+    values near 1e300 or 1e-300 gets its true mean and std; the 1e-8 floor
+    applies to that unscaled std.
+    """
     start, end = train_range
     if end <= start:
         raise InvalidArgumentError(f"empty train range {train_range}")
-    train = frame.values[start:end]
-    mean = train.mean(axis=0)
-    std = np.maximum(train.std(axis=0), 1e-8)
+    mean, std = _channel_moments(frame.values[start:end])
+    std = np.maximum(std, 1e-8)
     out = SeriesFrame((frame.values - mean) / std, list(frame.channel_names))
     return out, ChannelStats(mean, std)
 

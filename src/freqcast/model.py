@@ -39,9 +39,6 @@ applies W~ = [b; W] to those rows:
   `training.validation_statistics` read the scored rows through the same z
   and u.
 
-The feature pass is the same for every layer, so `training.train` may take
-it once per fit and run only the layer pass per batch.
-
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
 correctness is pinned by finite-difference checks in the test suite, and
@@ -50,7 +47,7 @@ the spectral loss by its time-domain value.
 A batch of at least 2 windows and 2^16 input values is computed as two half
 batches, windows [0, n//2) and [n//2, n) (`_splits`): each half runs both
 passes, their losses and gradients are added, and their output rows joined;
-the layer is folded once for both (`_batch_pass`). The halving depends on
+the layer is folded once for both (`model_backward`). The halving depends on
 the batch alone, so the bits do not depend on where a half runs. The first
 half runs on one worker thread, started by the first such batch, when BLAS
 runs on one thread and another CPU is free (`_cpu_idle`), and on the calling
@@ -502,33 +499,22 @@ def _features(x3, t3, cfg: ModelConfig):
     Rows are instance channels, window by window, in this thread's scratch
     buffers: (z, u) of `_tail_rows` over the forecast-only target rows, else
     (z~, B, e0) of `_spectral_features`. No layer enters them, so
-    `training.train` may take them once per fit.
+    `training.exact_fit` sums its normal equations from them.
     """
     if cfg.target_rows < cfg.output_len:
         return _tail_rows(x3, t3, cfg, cfg.target_rows)
     return _spectral_features(x3, t3, cfg)
 
 
-def _layer_operand(cfg: ModelConfig, layer: ComplexLinear, stacked=None) -> np.ndarray:
-    """What the layer pass multiplies feature rows by.
-
-    That is the (n_in + 1, n_out) W~ = [b; W] for the whole window (`stacked`
-    if the caller holds it), else V, the layer folded into the forecast rows'
-    synthesis (`_real_fold`).
-    """
-    if cfg.target_rows < cfg.output_len:
-        return _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))
-    if stacked is None:
-        stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)
-    return stacked
-
-
 def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     """The loss of the rows of `_features`, as their share of a loss over m supervised values.
 
-    Their gradient [db; dW] is written into grad, an (n_in + 1, n_out)
-    complex array; grad None skips it, for a whole-window pass only. The
-    rows are spent: the pass computes in place on them.
+    operand is the layer as the rows meet it: the (n_in + 1, n_out) W~ =
+    [b; W] for the whole window, else V, the layer folded into the forecast
+    rows' synthesis (`_real_fold`). Their gradient [db; dW] is written into
+    grad, an (n_in + 1, n_out) complex array; grad None skips it, for a
+    whole-window pass only. The rows are spent: the pass computes in place
+    on them.
     """
     n = cfg.output_len
     if cfg.target_rows < n:
@@ -561,24 +547,6 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     return energy / (n * m)
 
 
-def _batch_pass(windows: int, features, cfg: ModelConfig, operand, m: int, grad) -> float:
-    """The loss of a batch of `windows` windows, with its gradient [db; dW] in grad.
-
-    features(w) gives `_features` of the batch's window slice w. The batch
-    runs whole or as two half batches (`_halves`), each both passes, whose
-    losses and gradients are added; operand serves both.
-    """
-    def part(w):
-        out = np.empty_like(grad) if w.start else grad
-        return _layer_pass(features(w), cfg, operand, m, out), out
-
-    (loss, _), *rest = _halves(part, cfg, windows)
-    for second_loss, second in rest:
-        loss += second_loss
-        grad += second
-    return loss
-
-
 def _checked_pair(x, target, cfg: ModelConfig):
     """(x3, t3): an input and a target batch as `model_backward` accepts them."""
     x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
@@ -595,13 +563,26 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
 
     Returns (loss, dW, db) with dW shaped like layer.weight and db like
     layer.bias; see the module docstring for the adjoint chain of each
-    supervision.
+    supervision. A batch that splits (`_halves`) runs both passes on each
+    half, with one layer operand for both, and adds the halves' losses and
+    gradients.
     """
     _check_layer(cfg, layer)
     x3, t3 = _checked_pair(x, target, cfg)
+    if cfg.target_rows < cfg.output_len:
+        operand = _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))  # V
+    else:
+        operand = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)  # W~
     grad = np.empty((cfg.n_in + 1, cfg.n_out), np.complex128)  # [db; dW]
-    loss = _batch_pass(len(x3), lambda w: _features(x3[w], t3[w], cfg), cfg,
-                       _layer_operand(cfg, layer), t3.size, grad)
+
+    def part(w):
+        out = np.empty_like(grad) if w.start else grad
+        return _layer_pass(_features(x3[w], t3[w], cfg), cfg, operand, t3.size, out), out
+
+    (loss, _), *rest = _halves(part, cfg, len(x3))
+    for second_loss, second in rest:
+        loss += second_loss
+        grad += second
     return loss, grad[1:], grad[0]
 
 

@@ -13,15 +13,6 @@ The same fact makes a layer's validation MSE a quadratic form in (W, b). A
 fit that may run more than one epoch takes the validation set's statistics
 once (`validation_statistics`) and scores every epoch from them; only the
 restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
-
-It also makes everything an Adam step needs of its windows, apart from the
-layer, fixed data: the model's feature pass (`model._features`). Such a fit
-takes the feature pass over every training window once, into a table of one
-array per feature shaped (windows, channels, ...), when that table holds at
-most FEATURE_TABLE_VALUES values; each batch then gathers its windows of each
-array and runs only the layer pass (`model._layer_pass`) and one Adam step.
-The bits are those of a loop that calls `model_backward` on each batch, which
-is what a one-epoch fit, or one whose table would be larger, runs.
 """
 
 from __future__ import annotations
@@ -52,9 +43,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 64  # windows per `evaluate` batch, each a slice, so a view of the windows
-# the most float64 values (16 MiB) a fit's table of training-window features
-# may hold; a fit that needs more takes each batch's features per step
-FEATURE_TABLE_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -246,60 +234,13 @@ def validation_statistics(cfg: ModelConfig, windows,
                          len(windows) * k * cfg.channels)
 
 
-def _table_backward(cfg: ModelConfig, windows, batch_size: int):
-    """A per-batch backward pass that reads a table of every window's features.
-
-    Takes `model._features` of all the windows once into one array per
-    feature, (windows, channels, ...), each window's rows as the feature pass
-    gives them, and returns backward(idx, layer, stacked, grad): the loss of
-    the batch of windows idx, with its gradient [db; dW] written into grad,
-    as `model_backward` computes them, where stacked is [b; W] of the layer.
-    Returns None when the table would hold more than FEATURE_TABLE_VALUES
-    values, before allocating it.
-    """
-    probe = mdl._features(*mdl._checked_pair(*windows.batch(slice(0, 1)), cfg), cfg)
-    if len(windows) * sum(f.nbytes for f in probe) // 8 > FEATURE_TABLE_VALUES:
-        return None
-    # a one-window batch's features are (channels, ...) each
-    tables = [np.empty((len(windows), *f.shape), f.dtype) for f in probe]
-
-    def store(x3, t3, lo):
-        for table, f in zip(tables, mdl._features(x3, t3, cfg)):
-            table[lo : lo + len(x3)] = f.reshape(-1, *table.shape[1:])
-
-    for _ in _parts(cfg, windows, store):
-        pass
-    gathered = [np.empty((min(batch_size, len(windows)), *t.shape[1:]), t.dtype) for t in tables]
-
-    def backward(idx, layer, stacked, grad):
-        # mode="clip" writes straight into out; idx is in range
-        rows = [np.take(t, idx, axis=0, out=g[: idx.size], mode="clip")
-                for t, g in zip(tables, gathered)]
-        return mdl._batch_pass(
-            idx.size, lambda w: [r[w].reshape(-1, *r.shape[2:]) for r in rows], cfg,
-            mdl._layer_operand(cfg, layer, stacked), idx.size * cfg.target_rows * cfg.channels,
-            grad)
-
-    return backward
-
-
 def _check_sets(train_windows, val_windows) -> None:
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise InvalidArgumentError("train and validation window sets must be nonempty")
 
 
-def _shared(cfg: ModelConfig, train_windows, val_windows, spec: TrainSpec,
-            eval_steps: int | None):
-    """(val statistics, table backward) of `train`, which depend on no seed; None, None
-    for a one-epoch fit."""
-    if spec.max_epochs == 1:
-        return None, None
-    return (validation_statistics(cfg, val_windows, eval_steps),
-            _table_backward(cfg, train_windows, spec.batch_size))
-
-
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
-          spec: TrainSpec, eval_steps: int | None = None, shared=None):
+          spec: TrainSpec, eval_steps: int | None = None, val_stats=None):
     """Train with seeded shuffling and early stopping on the validation MSE.
 
     Returns (best layer, history). The parameters of the last epoch that
@@ -314,20 +255,17 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     MAE replace its entry. The other epochs' val MSE agrees with `evaluate`'s
     to rounding, so a stopping decision could differ from one made on
     `evaluate` only within rounding of the 1e-6 threshold. A one-epoch fit
-    makes no such decision and scores its epoch by `evaluate` alone. Such a
-    fit also takes the training windows' features once, when they fit in
-    FEATURE_TABLE_VALUES (see the module docstring); a one-epoch fit calls
-    `model_backward` per batch. The statistics and the table depend on no
-    seed: `shared`, if given, is `_shared` of the same arguments, which
-    fits of several seeds take once.
+    makes no such decision and scores its epoch by `evaluate` alone. The
+    statistics depend on no seed: `val_stats`, if given, is
+    `validation_statistics(cfg, val_windows, eval_steps)`, which fits of
+    several seeds take once.
     """
     _check_sets(train_windows, val_windows)
     mdl._check_layer(cfg, layer)
-    if shared is None:
-        shared = _shared(cfg, train_windows, val_windows, spec, eval_steps)
-    val_stats, from_table = shared
+    if val_stats is None and spec.max_epochs > 1:
+        val_stats = validation_statistics(cfg, val_windows, eval_steps)
     rng = np.random.default_rng(spec.seed)
-    # the layer as [b; W], the order of the layer pass's gradient; Adam works
+    # the layer as [b; W], the order of model_backward's gradient; Adam works
     # elementwise, so the order of theta does not change a bit
     stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)
     theta = stacked.reshape(-1).view(np.float64)  # Adam steps theta in place, stacked tracks it
@@ -346,12 +284,9 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
         loss_sum = 0.0
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            if from_table is not None:
-                loss = from_table(idx, view, stacked, grad)
-            else:
-                # neither the batch nor (dW, db) outlives this statement, so
-                # the next batch is gathered into the memory they free
-                loss, grad[1:], grad[0] = model_backward(*train_windows.batch(idx), cfg, view)
+            # neither the batch nor (dW, db) outlives this statement, so
+            # the next batch is gathered into the memory they free
+            loss, grad[1:], grad[0] = model_backward(*train_windows.batch(idx), cfg, view)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}"
@@ -484,12 +419,12 @@ def train_seeds(frame, profile, horizon: int, look_back: int, harmonic: int,
     # called through the module, so a wrapper of data.split_windows sees the call
     train_w, val_w, test_w = dat.split_windows(frame, profile, look_back, horizon, supervision)
     _check_sets(train_w, val_w)
-    # the seeds' fits share the statistics and table, which depend on no seed
-    shared = _shared(cfg, train_w, val_w, spec, horizon)
+    # the seeds' fits share the validation statistics, which depend on no seed
+    val_stats = None if spec.max_epochs == 1 else validation_statistics(cfg, val_w, horizon)
     runs = []
     for seed in spec.seeds_for_reporting:
         best, history = train(cfg, init_params(cfg, seed), train_w, val_w,
-                              replace(spec, seed=seed), horizon, shared)
+                              replace(spec, seed=seed), horizon, val_stats)
         restored = restored_epoch(history)
         test_mse, test_mae = evaluate(cfg, best, test_w, eval_steps=horizon)
         record = {

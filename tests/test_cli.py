@@ -6,6 +6,7 @@ import json
 import re
 import struct
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1275,6 +1276,46 @@ def test_detect_fits_a_constant_channel(tmp_path, synth_stream):
     (run_dir,) = run_dirs(tmp_path / "r")
     _, layer = load_checkpoint(run_dir / "model.ckpt")  # refuses non-finite weights
     assert np.abs(layer.weight).max() > 0.0
+
+
+def test_detect_of_a_stream_scaled_near_1e300_writes_the_unscaled_report(
+        tmp_path, synth_stream, capsys):
+    values, labels = synth_stream
+    series = load_csv(values, False).values
+    scaled = tmp_path / "scaled.csv"
+    # 2^997 is about 1.3e300; 17 digits write each scaled value exactly
+    np.savetxt(scaled, np.ldexp(series, 997), fmt="%.17g", header="x", comments="")
+    reports = []
+    for data in (values, scaled):
+        cfg = write_config(tmp_path, "d.cfg", data=data, labels=labels, train_rows=375,
+                           window=80, factor=4)
+        out = tmp_path / f"r-{data.stem}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["detect", "--config", str(cfg), "--out", str(out),
+                         "--train-first"]) == 0
+        assert not caught and capsys.readouterr().err == ""
+        (run_dir,) = run_dirs(out)
+        reports.append((run_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["f1"] > 0.0
+
+
+def test_readme_synth_then_detect_commands_run(tmp_path, monkeypatch):
+    # README: freqcast synth, then detect on configs/synth_detect.cfg, with
+    # FREQCAST_DATA at the synth run directory
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "0"]) == 0
+    (synth_dir,) = run_dirs(tmp_path / "synth")
+    monkeypatch.setenv("FREQCAST_DATA", str(synth_dir))
+    monkeypatch.chdir(tmp_path)  # the config's relative paths resolve through FREQCAST_DATA
+    assert main(["detect", "--config", str(CONFIG_DIR / "synth_detect.cfg"),
+                 "--out", str(tmp_path / "runs"), "--train-first", "--dump-scores"]) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    report = json.loads((run_dir / "report.json").read_text())
+    assert set(report) == {"threshold", "precision", "recall", "f1", "accuracy", "adjusted",
+                           "window", "factor", "params", "threshold_source"}
+    assert (report["window"], report["factor"]) == (200, 4) and 0.0 < report["f1"] <= 1.0
+    assert (run_dir / "scores.csv").exists() and (run_dir / "model.ckpt").exists()
 
 
 def test_unknown_key_is_named_by_repr(tmp_path, sine_csv, capsys):

@@ -410,6 +410,33 @@ def test_standardize_uses_train_rows_only():
     assert not np.allclose(stats.mean, stats2.mean)
 
 
+# magnitudes 1e-3..1e3 stay normal, with their differences, at any scale 2^s below
+_NORMAL_CELLS = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_NORMAL_CELLS, min_size=2, max_size=2), min_size=3, max_size=12),
+       scale=st.integers(-900, 900))
+def test_standardize_ignores_a_power_of_two_scale(rows, scale):
+    values = np.array(rows)
+    train = (0, len(values) - 1)
+    head = values[: train[1]]
+    out, stats = standardize(SeriesFrame(values, ["a", "b"]), train)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warning either
+        scaled_out, scaled = standardize(SeriesFrame(np.ldexp(values, scale), ["a", "b"]), train)
+        mean, std = data_module._channel_moments(np.ldexp(head, scale))
+    assert np.array_equal(stats.mean, head.mean(axis=0))
+    assert np.array_equal(scaled.mean, np.ldexp(stats.mean, scale))
+    assert np.array_equal(mean, scaled.mean)
+    assert np.array_equal(std, np.ldexp(head.std(axis=0), scale))
+    # the 1e-8 std floor is not scale-free: where neither side meets it, nothing moves
+    if (stats.std > 1e-8 * max(1.0, 2.0 ** -scale)).all():
+        assert np.array_equal(stats.std, head.std(axis=0))
+        assert np.array_equal(scaled.std, np.ldexp(stats.std, scale))
+        assert np.array_equal(scaled_out.values, out.values)
+
+
 def _span(a) -> int:
     """Bytes between the first and last byte an array reaches."""
     low, high = np.lib.array_utils.byte_bounds(a)

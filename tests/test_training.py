@@ -505,7 +505,7 @@ def test_multi_epoch_fit_evaluates_once(monkeypatch):
     assert all(math.isnan(h.val_mae) for h in history if h is not restored)
 
 
-# --- the feature table ------------------------------------------------------------
+# --- the Adam loop -----------------------------------------------------------------
 
 def _reference_fit(cfg, layer, windows, spec):
     """Per-epoch (train MSE, layer) of Adam with one `model_backward` call per batch."""
@@ -526,8 +526,8 @@ def _reference_fit(cfg, layer, windows, spec):
     return epochs
 
 
-def _table_fit(name):
-    """(cfg, train windows, spec) of one table case; every spec runs to its cap."""
+def _fit_case(name):
+    """(cfg, train windows, spec) of one fit case; every spec runs to its cap."""
     rng = np.random.default_rng(60)
     if name == "detect":
         # detect's model and batch size: 734 windows, whose last batch holds 30
@@ -546,36 +546,18 @@ def _table_fit(name):
     return cfg, windows, TrainSpec(learning_rate=1e-2, batch_size=16, max_epochs=3, patience=3)
 
 
-def _table_values(cfg, windows):
-    """The float64 values of a fit's feature table: z~, then B and e0 or u per instance channel."""
-    if cfg.target_rows < cfg.output_len:
-        row = 2 * (cfg.n_in + 1) + cfg.target_rows
-    else:
-        row = 2 * (cfg.n_in + 1) + 2 * cfg.n_out + 1
-    return len(windows) * cfg.channels * row
-
-
-def _counted_backward(monkeypatch):
-    calls = []
-    backward = training.model_backward
-    monkeypatch.setattr(training, "model_backward",
-                        lambda *args: calls.append(1) or backward(*args))
-    return calls
-
-
 @pytest.mark.parametrize("name, idle", [
     ("detect", False), ("backcast+forecast", False), ("forecast-only", False),
     ("split", False), ("split", True),
 ])
-def test_table_fit_repeats_the_per_batch_loop_bit_for_bit(monkeypatch, name, idle):
-    # the table's rows through the layer pass give the bits of model_backward
-    # on each batch, wherever a half batch runs
+def test_train_repeats_the_reference_adam_loop_bit_for_bit(monkeypatch, name, idle):
+    # one model_backward call per batch per epoch, wherever a half batch runs
     monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
-    calls = _counted_backward(monkeypatch)
-    cfg, windows, spec = _table_fit(name)
+    calls = _counted(monkeypatch, "model_backward")
+    cfg, windows, spec = _fit_case(name)
     layer = init_params(cfg, 5)
     best, history = train(cfg, layer, windows, windows, spec)
-    assert not calls  # the table served every batch
+    assert len(calls) == spec.max_epochs * -(-len(windows) // spec.batch_size)
     reference = _reference_fit(cfg, layer, windows, spec)
     assert len(history) == spec.max_epochs
     assert [h.train_mse for h in history] == [mse for mse, _ in reference]
@@ -583,33 +565,12 @@ def test_table_fit_repeats_the_per_batch_loop_bit_for_bit(monkeypatch, name, idl
     assert np.array_equal(best.weight, kept.weight) and np.array_equal(best.bias, kept.bias)
 
 
-@pytest.mark.parametrize("name", ["detect", "backcast+forecast", "forecast-only"])
-def test_feature_table_budget_edge(monkeypatch, name):
-    # a table one value over the budget is not built, and either path writes the same bits
-    cfg, windows, spec = _table_fit(name)
-    size = _table_values(cfg, windows)
-    results = []
-    for budget, batches in ((size - 1, -(-len(windows) // spec.batch_size)), (size, 0)):
-        monkeypatch.setattr(training, "FEATURE_TABLE_VALUES", budget)
-        calls = _counted_backward(monkeypatch)
-        results.append(train(cfg, init_params(cfg, 5), windows, windows, spec))
-        assert len(calls) == spec.max_epochs * batches
-        assert (training._table_backward(cfg, windows, spec.batch_size) is None) == bool(batches)
-    (per_batch, per_batch_history), (table, table_history) = results
-    assert per_batch_history == table_history
-    assert np.array_equal(per_batch.weight, table.weight)
-    assert np.array_equal(per_batch.bias, table.bias)
-
-
-def test_table_fit_rejects_a_non_finite_window_before_any_step(monkeypatch):
-    cfg, windows, spec = _table_fit("detect")
+def test_train_refuses_a_non_finite_training_window():
+    cfg, windows, spec = _fit_case("detect")
     inputs = windows.inputs.copy()
     inputs[500, 7, 0] = np.nan
-    steps = []
-    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1))
     with pytest.raises(InvalidValueError, match="non-finite"):
         train(cfg, init_params(cfg, 5), ArrayWindows(inputs, windows.targets), windows, spec)
-    assert not steps
 
 
 # --- the exact fit -------------------------------------------------------------------
@@ -648,7 +609,7 @@ def test_exact_fit_zeroes_the_whole_set_gradient(name):
 
 @pytest.mark.parametrize("name", ["detect", "backcast+forecast", "split"])
 def test_exact_train_mse_is_at_most_adams(name):
-    cfg, windows, spec = _table_fit(name)
+    cfg, windows, spec = _fit_case(name)
     _, (epoch,) = training.exact_fit(cfg, windows, windows)
     adam, history = train(cfg, init_params(cfg, spec.seed), windows, windows, spec)
     adam_mse, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, adam)
@@ -701,7 +662,7 @@ def test_exact_fit_refuses_non_finite_normal_equations():
 
 
 def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
-    cfg, windows, _ = _table_fit("split")  # its 64-window slices split, on the worker if idle
+    cfg, windows, _ = _fit_case("split")  # its 64-window slices split, on the worker if idle
     results = []
     for idle in (False, True):
         monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
@@ -726,10 +687,9 @@ def test_train_seeds_builds_the_shared_state_once_per_cell(monkeypatch):
     frame = _tiny_frame(channels=3)
     spec = TrainSpec(max_epochs=3, patience=3, seeds_for_reporting=(0, 1, 2))
     stats = _counted(monkeypatch, "validation_statistics")
-    tables = _counted(monkeypatch, "_table_backward")
     cfg, runs = training.train_seeds(frame, TINY_PROFILE, 8, 32, 1,
                                      Supervision.BACKCAST_AND_FORECAST, spec)
-    assert len(stats) == 1 and len(tables) == 1 and len(runs) == 3
+    assert len(stats) == 1 and len(runs) == 3
     # each seed's fit is the one `train` makes from that seed alone
     train_w, val_w, _ = training.dat.split_windows(frame, TINY_PROFILE, 32, 8,
                                                    Supervision.BACKCAST_AND_FORECAST)
