@@ -167,7 +167,8 @@ def read_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # utf-8-sig drops a leading BOM, which would otherwise start the first key
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):

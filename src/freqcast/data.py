@@ -304,18 +304,27 @@ def _channel_moments(rows: np.ndarray):
     return np.ldexp(mean, exponent), np.ldexp(np.sqrt(var), exponent)
 
 
+# a train std at most this share of the largest magnitude is the mean's rounding,
+# about 100 times the most a constant channel's mean rounds
+CONSTANT_STD = 2.0**-40
+
+
 def standardize(frame: SeriesFrame, train_range: tuple[int, int]):
     """Standardize every row with per-channel statistics of the train rows only.
 
     The statistics are `_channel_moments` of the train rows, so a series of
-    values near 1e300 or 1e-300 gets its true mean and std; the 1e-8 floor
-    applies to that unscaled std.
+    values near 1e300 or 1e-300 gets its true mean and std. A constant
+    channel, whose std is at most CONSTANT_STD of its largest train magnitude,
+    is divided by that magnitude (by 1 if it is 0), so its train rows map to
+    zeros up to its mean's rounding.
     """
     start, end = train_range
     if end <= start:
         raise InvalidArgumentError(f"empty train range {train_range}")
-    mean, std = _channel_moments(frame.values[start:end])
-    std = np.maximum(std, 1e-8)
+    train = frame.values[start:end]
+    mean, std = _channel_moments(train)
+    peak = np.abs(train).max(axis=0)
+    std = np.where(std > CONSTANT_STD * peak, std, np.where(peak > 0, peak, 1.0))
     out = SeriesFrame((frame.values - mean) / std, list(frame.channel_names))
     return out, ChannelStats(mean, std)
 

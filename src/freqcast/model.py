@@ -36,8 +36,8 @@ applies W~ = [b; W] to those rows:
   The residual there is r = z V - u, and [db; dW] = (conj(z~)^T (2 / m) r)
   S^H: real GEMMs, no FFT after the input's rfft, and no Nyquist fold,
   since S's Nyquist row is real. `training.evaluate` and
-  `training.validation_statistics` read the scored rows through the same z
-  and u.
+  `training.validation_statistics`, whose sums are all `training.exact_fit`
+  reads, take the scored rows through the same z and u, with no layer pass.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
@@ -498,8 +498,8 @@ def _features(x3, t3, cfg: ModelConfig):
 
     Rows are instance channels, window by window, in this thread's scratch
     buffers: (z, u) of `_tail_rows` over the forecast-only target rows, else
-    (z~, B, e0) of `_spectral_features`. No layer enters them, so
-    `training.exact_fit` sums its normal equations from them.
+    (z~, B, e0) of `_spectral_features`. No layer enters them; the layer
+    meets them in `_layer_pass`.
     """
     if cfg.target_rows < cfg.output_len:
         return _tail_rows(x3, t3, cfg, cfg.target_rows)
@@ -512,9 +512,8 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     operand is the layer as the rows meet it: the (n_in + 1, n_out) W~ =
     [b; W] for the whole window, else V, the layer folded into the forecast
     rows' synthesis (`_real_fold`). Their gradient [db; dW] is written into
-    grad, an (n_in + 1, n_out) complex array; grad None skips it, for a
-    whole-window pass only. The rows are spent: the pass computes in place
-    on them.
+    grad, an (n_in + 1, n_out) complex array. The rows are spent: the pass
+    computes in place on them.
     """
     n = cfg.output_len
     if cfg.target_rows < n:
@@ -540,10 +539,9 @@ def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
     if nyquist:
         energy -= np.vdot(resid[:, -1], resid[:, -1]).real
         resid[:, -1] *= 0.5
-    if grad is not None:
-        # 4/(m n) folds the 2/m MSE factor and irfft's 2/n on every used bin
-        np.matmul(np.conjugate(z, out=z).T, resid, out=grad)
-        grad *= 4.0 / (m * n)
+    # 4/(m n) folds the 2/m MSE factor and irfft's 2/n on every used bin
+    np.matmul(np.conjugate(z, out=z).T, resid, out=grad)
+    grad *= 4.0 / (m * n)
     return energy / (n * m)
 
 

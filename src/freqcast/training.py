@@ -5,14 +5,15 @@ The optimization problem is linear least squares in the layer parameters
 (every stage around the layer is fixed or instance-affine), so plain Adam on
 the 2N real scalars behind the complex parameters converges reliably; the
 test suite checks the trained loss against the closed-form normal-equations
-optimum on a small instance. `exact_fit`, which `detect` uses, solves the
-whole-window problem's normal equations instead; forecast-only supervision
-does not have them in that form.
+optimum on a small instance.
 
-The same fact makes a layer's validation MSE a quadratic form in (W, b). A
-fit that may run more than one epoch takes the validation set's statistics
-once (`validation_statistics`) and scores every epoch from them; only the
-restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
+The same fact makes a layer's squared error over a window set a quadratic
+form in (W, b), whose sums one pass takes (`validation_statistics`).
+`exact_fit`, which `detect` uses, solves the training windows' sums over the
+whole output window; forecast-only supervision has no normal equations in
+that form. A fit by Adam that may run more than one epoch scores every epoch
+from the validation windows' sums; only the restored epoch is scored again,
+by `evaluate`, for its reported MSE and MAE.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def _scored_rows(windows, eval_steps: int | None) -> int:
     return k
 
 
-def _parts(cfg: ModelConfig, windows, work):
-    """work(x3, t3, lo) for each part of the windows, in window order; lo is its first window.
+def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
+    """sums(z, u) of `model._tail_rows` for each part of the windows, in window order.
 
     The windows go EVAL_BATCH at a time through the model's input checks; a
     large slice is taken as two half batches, as the model takes it, so the
@@ -161,12 +162,8 @@ def _parts(cfg: ModelConfig, windows, work):
         x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
         mdl._check_finite(x3)
 
-        yield from mdl._halves(lambda w: work(x3[w], t[w], lo + w.start), cfg, len(x3))
-
-
-def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
-    """sums(z, u) of `model._tail_rows` for each part of the windows (`_parts`)."""
-    return _parts(cfg, windows, lambda x3, t3, _: sums(*mdl._tail_rows(x3, t3, cfg, k)))
+        yield from mdl._halves(lambda w: sums(*mdl._tail_rows(x3[w], t[w], cfg, k)),
+                               cfg, len(x3))
 
 
 def evaluate(cfg: ModelConfig, layer: ComplexLinear, windows,
@@ -200,7 +197,10 @@ class ValStatistics:
     With z and u the rows of `model._tail_rows` and V =
     `model._real_fold(layer, synth)`, the errors z @ V - u square-sum to
     e - 2<V, C> + <V, H V> with H = sum z^T z (gram), C = sum z^T u (cross)
-    and e = sum |u|^2 (energy), over `count` values.
+    and e = sum |u|^2 (energy), over `count` values. `train` scores epochs
+    on the val windows' statistics, and `exact_fit` solves the training
+    windows'. The sum rounds at the scale of e, not of the error, so the
+    closer a layer fits, the fewer digits it shares with `evaluate`.
     """
 
     synth: np.ndarray
@@ -221,7 +221,8 @@ class ValStatistics:
 def validation_statistics(cfg: ModelConfig, windows,
                           eval_steps: int | None = None) -> ValStatistics:
     """The `ValStatistics` of the rows `evaluate(cfg, ., windows, eval_steps)` scores,
-    summed over the same parts as `evaluate`'s."""
+    summed in one pass over the same parts as `evaluate`'s. The parts are
+    added in the calling thread in window order, so the worker changes no bit."""
     k = _scored_rows(windows, eval_steps)
     width = 2 * cfg.n_in + 2
     gram, cross, energy = np.zeros((width, width)), np.zeros((width, k)), 0.0
@@ -322,57 +323,44 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
 def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | None = None):
     """(layer, one-row history) of the layer with the least whole-window training MSE.
 
-    With z~ and B of `model._features`, that loss is (sum e0 + 2 |z~ W~ - B|^2
-    - |Nyquist column|^2) / (n m), so every output bin below Nyquist is a
-    complex least-squares problem with normal equations G1 W~ = C, G1 =
-    sum z~^H z~ and C = sum z~^H B. When the layer reaches the Nyquist bin,
-    only the real part of that column reaches the output: it is the real
-    problem of design [Re z~, -Im z~] against Re B, whose normal matrix is H
-    = sum z^T z of z~ as interleaved reals z, and G1 is read off H's blocks.
-    That problem is always singular: the bias's Im column is zero, as is
-    the input Nyquist bin's when the layer keeps it. So each is solved
-    min-norm (`np.linalg.lstsq`), which also serves a singular G1 (too few
-    windows, constant channels). The sums walk the windows in `_parts`'s
-    order and add in the calling thread, so the worker changes no bit.
-
-    The history's one epoch takes its train MSE from a layer pass over the
-    training windows at the solution, and its val MSE and MAE from
-    `evaluate`.
+    A solve on the training windows' `ValStatistics` over the whole output
+    window, taken in one pass. With z~ the complex rows behind z and B the
+    target's rfft over the layer's bins, that loss is (sum e0 + 2 |z~ W~ -
+    B|^2 - |Nyquist column|^2) / (n m) (`model._spectral_features`), so every
+    bin below Nyquist is a complex least-squares problem: G1 W~ = sum z~^H B,
+    with G1 = sum z~^H z~ read off H's blocks. From bin 1 up B is as much the
+    rfft of u = t - mean as of t, so that right side is the FFT of C's rows
+    as complex pairs. When the layer reaches the Nyquist bin, only that
+    column's real part reaches the output: it is the real problem of design
+    [Re z~, -Im z~] against Re B = u @ (-1)^t, with normal matrix H and right
+    side C @ (-1)^t. That problem is always singular (the bias's Im column is
+    zero, as is the input Nyquist bin's when the layer keeps it), so each is
+    solved min-norm (`np.linalg.lstsq`), which also serves a singular G1 (too
+    few windows, constant channels). The train MSE is the statistics'
+    quadratic form at the solution; the val MSE and MAE are `evaluate`'s.
     """
     _check_sets(train_windows, val_windows)
     if cfg.target_rows < cfg.output_len:
         raise InvalidArgumentError("the exact fit solves the whole output window; "
                                    "forecast-only supervision needs `train`")
-    nyquist = cfg.n_out == cfg.output_len // 2
-
-    def sums(x3, t3, _):
-        z, b, _ = mdl._features(x3, t3, cfg)
-        real = z.view(np.float64)
-        # the last bin's real right side is read only when that bin is Nyquist
-        return real.T @ real, real.T @ b[:, -1].real, np.conjugate(z, out=z).T @ b
-
-    width = 2 * cfg.n_in + 2
-    gram, nyquist_cross = np.zeros((width, width)), np.zeros(width)
-    cross = np.zeros((cfg.n_in + 1, cfg.n_out), np.complex128)
-    for h, q, c in _parts(cfg, train_windows, sums):
-        gram += h
-        nyquist_cross += q
-        cross += c
+    stats = validation_statistics(cfg, train_windows, None)
+    gram, cross = stats.gram, stats.cross
     if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
         raise TrainingDivergedError("the exact fit's normal equations are not finite")
     re, im = slice(0, None, 2), slice(1, None, 2)
     g1 = gram[re, re] + gram[im, im] + 1j * (gram[re, im] - gram[im, re])
-    stacked = np.empty_like(cross)  # [b; W]
+    nyquist = cfg.n_out == cfg.output_len // 2
     below = cfg.n_out - nyquist
-    stacked[:, :below] = np.linalg.lstsq(g1, cross[:, :below], rcond=None)[0]
+    stacked = np.empty((cfg.n_in + 1, cfg.n_out), np.complex128)  # [b; W]
+    rhs = np.fft.fft(cross[re] - 1j * cross[im], axis=-1)[:, 1 : 1 + below]
+    stacked[:, :below] = np.linalg.lstsq(g1, rhs, rcond=None)[0]
     if nyquist:
-        folded = np.linalg.lstsq(gram, nyquist_cross, rcond=None)[0]  # (Re, -Im) pairs
+        sign = np.where(np.arange(cfg.output_len) % 2, -1.0, 1.0)
+        folded = np.linalg.lstsq(gram, cross @ sign, rcond=None)[0]  # (Re, -Im) pairs
         stacked[:, -1] = folded[re] - 1j * folded[im]
     layer = ComplexLinear(stacked[1:], stacked[0])
 
-    m = len(train_windows) * cfg.target_rows * cfg.channels
-    train_mse = float(sum(_parts(cfg, train_windows, lambda x3, t3, _: mdl._layer_pass(
-        mdl._features(x3, t3, cfg), cfg, stacked, m, None))))
+    train_mse = stats.mse(layer)
     val_mse, val_mae = evaluate(cfg, layer, val_windows, eval_steps)
     if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
         raise TrainingDivergedError(

@@ -92,12 +92,16 @@ def test_train_deterministic_across_runs(tmp_path, sine_csv):
         data=sine_csv, period=24, timestamp_column="false",
         input_len=32, horizon=8, max_epochs=2, seeds="3",
     )
+    # a copy that starts with a UTF-8 byte order mark, as some editors write it
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
     out = tmp_path / "runs"
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    first, second = run_dirs(out)
-    assert (first / "metrics.json").read_text() == (second / "metrics.json").read_text()
-    assert (first / "model.ckpt").read_bytes() == (second / "model.ckpt").read_bytes()
+    for path in (cfg, cfg, bom):
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    first, *rest = run_dirs(out)
+    for other in rest:
+        assert (first / "metrics.json").read_text() == (other / "metrics.json").read_text()
+        assert (first / "model.ckpt").read_bytes() == (other / "model.ckpt").read_bytes()
 
 
 def test_train_val_metrics_are_the_restored_layers(tmp_path, sine_csv):

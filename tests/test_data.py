@@ -410,6 +410,28 @@ def test_standardize_uses_train_rows_only():
     assert not np.allclose(stats.mean, stats2.mean)
 
 
+def test_standardize_gives_a_tiny_scale_series_unit_std():
+    # about 1e-300 per value: an absolute std floor would take it as constant
+    values = np.ldexp(np.random.default_rng(1).normal(size=(400, 1)), -997)
+    out, _ = standardize(SeriesFrame(values, ["a"]), (0, 300))
+    assert abs(out.values[:300].std() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [3.0, 0.1, 1e6])
+def test_standardize_maps_a_constant_channel_to_zeros(level):
+    values = np.column_stack((np.full(200, level), np.arange(200.0)))
+    out, _ = standardize(SeriesFrame(values, ["flat", "ramp"]), (0, 150))
+    # zeros up to the rounding of the mean: 150 copies of 0.1 do not average to 0.1
+    assert np.abs(out.values[:, 0]).max() <= 1e-13
+
+
+def test_standardize_keeps_a_small_spread_on_a_large_offset():
+    values = 1e6 + 1e-3 * np.random.default_rng(2).normal(size=(400, 1))
+    out, stats = standardize(SeriesFrame(values, ["a"]), (0, 300))
+    assert abs(out.values[:300].std() - 1.0) <= 1e-6
+    assert np.isclose(stats.std[0], values[:300].std(), rtol=1e-12)
+
+
 # magnitudes 1e-3..1e3 stay normal, with their differences, at any scale 2^s below
 _NORMAL_CELLS = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3)
 
@@ -430,11 +452,13 @@ def test_standardize_ignores_a_power_of_two_scale(rows, scale):
     assert np.array_equal(scaled.mean, np.ldexp(stats.mean, scale))
     assert np.array_equal(mean, scaled.mean)
     assert np.array_equal(std, np.ldexp(head.std(axis=0), scale))
-    # the 1e-8 std floor is not scale-free: where neither side meets it, nothing moves
-    if (stats.std > 1e-8 * max(1.0, 2.0 ** -scale)).all():
-        assert np.array_equal(stats.std, head.std(axis=0))
-        assert np.array_equal(scaled.std, np.ldexp(stats.std, scale))
-        assert np.array_equal(scaled_out.values, out.values)
+    varying = head.std(axis=0) > data_module.CONSTANT_STD * np.abs(head).max(axis=0)
+    assert np.array_equal(stats.std[varying], head.std(axis=0)[varying])
+    # the constant-channel rule scales with the data too, except for an all-zero
+    # train block, which has no scale and is divided by 1
+    scaled_channels = np.abs(head).max(axis=0) > 0
+    assert np.array_equal(scaled.std[scaled_channels], np.ldexp(stats.std, scale)[scaled_channels])
+    assert np.array_equal(scaled_out.values[:, scaled_channels], out.values[:, scaled_channels])
 
 
 def _span(a) -> int:

@@ -662,11 +662,27 @@ def test_exact_fit_refuses_non_finite_normal_equations():
 
 
 def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
-    cfg, windows, _ = _fit_case("split")  # its 64-window slices split, on the worker if idle
+    # 90 windows: a 64-window part of 256 x 4 inputs splits, on the worker if
+    # idle, and the last part, of 26, does not
+    cfg = ModelConfig.for_forecast(256, 32, 24, 1, 4)
+    windows = _forecast_windows(np.random.default_rng(80).normal(size=(cfg.output_len + 89, 4)),
+                                cfg)
+    assert model._splits(cfg, training.EVAL_BATCH) and not model._splits(cfg, 26)
+    threads, spectral = [], []
+    bins, features = model._normalized_bins, model._spectral_features
+    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.append(
+        threading.current_thread()) or bins(x3, cfg))
+    monkeypatch.setattr(model, "_spectral_features", lambda *args: spectral.append(1) or
+                        features(*args))
     results = []
     for idle in (False, True):
         monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
+        threads.clear()
         results.append(training.exact_fit(cfg, windows, windows))
+        # one pass over the training windows, for the statistics, and one over
+        # the val windows, for `evaluate`: 2 + 1 normalized parts each
+        assert len(threads) == 2 * 3 and not spectral
+        assert (set(threads) != {threading.main_thread()}) is idle
     (serial, serial_history), (split, split_history) = results
     assert np.array_equal(serial.weight, split.weight)
     assert np.array_equal(serial.bias, split.bias)
