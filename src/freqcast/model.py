@@ -14,30 +14,30 @@ gradient of the MSE with respect to W and b is an adjoint chain ending in
 where row r of G is the loss's gradient with respect to the layer output
 bins of instance channel r. With n = output_len, m the number of supervised
 values and std, mean the instance statistics, the chain to G depends on the
-rows the loss covers (`ModelConfig.target_rows`). Either way a batch goes
-through two passes. The feature pass (`_features`) reads the windows alone:
+rows the loss covers (`ModelConfig.target_rows`), and each supervision has
+one loss pass that reads the windows and applies W~ = [b; W]. Both take
 each instance channel's z~ = std * [1, X], whose first entry stands for the
-bias, and what the loss needs of its target. The layer pass (`_layer_pass`)
-applies W~ = [b; W] to those rows:
+bias:
 
 * the whole output window (backcast+forecast, and every reconstruction
-  model): the residual is formed in frequency. Over the layer's bins,
-  rfft(y - t) is R = z~ W~ - B, one complex GEMM, with B the target's rfft
-  there and the Nyquist bin's imaginary part dropped, as irfft drops it.
-  Outside them the residual does not depend on the layer, so its energy e0
-  (DC, where y contributes n * mean, and the bins above the layer) is fixed
-  data. Parseval gives the MSE, (e0 + 2 sum_k |R_k|^2 - |R_n/2|^2) / (n m),
-  and [db; dW] = 4 / (m n) * conj(z~)^T R'. No inverse FFT is needed. When
-  the layer reaches the Nyquist bin, R' halves R there, since that bin
-  enters the output once and only through its real part.
-* the horizon rows only (forecast-only): `_tail_rows` gives z, the real
-  view of z~, and u = t - mean over those rows, and V = `_real_fold` folds
-  W~ into S = `_tail_synthesis`, which maps the layer's bins to the rows.
-  The residual there is r = z V - u, and [db; dW] = (conj(z~)^T (2 / m) r)
-  S^H: real GEMMs, no FFT after the input's rfft, and no Nyquist fold,
-  since S's Nyquist row is real. `training.evaluate` and
-  `training.validation_statistics`, whose sums are all `training.exact_fit`
-  reads, take the scored rows through the same z and u, with no layer pass.
+  model), `_spectral_pass`: the residual is formed in frequency. Over the
+  layer's bins, rfft(y - t) is R = z~ W~ - B, one complex GEMM, with B the
+  target's rfft there and the Nyquist bin's imaginary part dropped, as
+  irfft drops it. Outside them the residual does not depend on the layer,
+  so its energy e0 (DC, where y contributes n * mean, and the bins above
+  the layer) is fixed data. Parseval gives the MSE, (e0 + 2 sum_k |R_k|^2 -
+  |R_n/2|^2) / (n m), and [db; dW] = 4 / (m n) * conj(z~)^T R'. No inverse
+  FFT is needed. When the layer reaches the Nyquist bin, R' halves R there,
+  since that bin enters the output once and only through its real part.
+* the horizon rows only (forecast-only), `_tail_pass`: `_tail_rows` gives
+  z, the real view of z~, and u = t - mean over those rows, and V =
+  `_real_fold` folds W~ into S = `_tail_synthesis`, which maps the layer's
+  bins to the rows. The residual there is r = z V - u, and [db; dW] =
+  (conj(z~)^T (2 / m) r) S^H: real GEMMs, no FFT after the input's rfft,
+  and no Nyquist fold, since S's Nyquist row is real. `training.evaluate`
+  and `training.validation_statistics`, whose sums are all
+  `training.exact_fit` reads, take the scored rows through the same z and
+  u, with no loss pass.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;
@@ -45,8 +45,8 @@ correctness is pinned by finite-difference checks in the test suite, and
 the spectral loss by its time-domain value.
 
 A batch of at least 2 windows and 2^16 input values is computed as two half
-batches, windows [0, n//2) and [n//2, n) (`_splits`): each half runs both
-passes, their losses and gradients are added, and their output rows joined;
+batches, windows [0, n//2) and [n//2, n) (`_splits`): each half runs the
+pipeline, their losses and gradients are added, and their output rows joined;
 the layer is folded once for both (`model_backward`). The halving depends on
 the batch alone, so the bits do not depend on where a half runs. The first
 half runs on one worker thread, started by the first such batch, when BLAS
@@ -129,6 +129,9 @@ class ModelConfig:
             raise InvalidArgumentError(f"harmonic must be >= 0, got {self.harmonic}")
         if self.channels < 1:
             raise InvalidArgumentError(f"channels must be >= 1, got {self.channels}")
+        for name in ("input_len", "output_len", "period", "harmonic", "channels"):
+            if getattr(self, name) >= 1 << 63:  # the checkpoint stores each as an int64
+                raise InvalidArgumentError(f"{name} must be < 2^63, got {getattr(self, name)}")
         if self.supervision is Supervision.FORECAST_ONLY and self.horizon == 0:
             raise InvalidArgumentError("forecast-only supervision needs a positive horizon")
         if self.harmonic == 0:
@@ -244,7 +247,7 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     undefined, and no public function returns a view of one. Each thread owns
     its buffers, so a half batch on the worker computes in the worker's. The
     buffers are: "work", the input rows and then the layer's output bins or
-    the residual of the layer pass; "spectrum", the rows' spectrum, whose
+    the residual of the loss pass; "spectrum", the rows' spectrum, whose
     first bins become z~ (`_scaled_bins`); "target", the target's spectrum,
     whose layer bins are B, or u and then z^T times the tail residual.
     """
@@ -466,15 +469,36 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
     return y[0] if squeeze else y
 
 
-def _spectral_features(x3, t3, cfg: ModelConfig):
-    """(z~, B, e0) of a checked batch, for the loss over the whole output window.
+def _tail_pass(x3, t3, cfg: ModelConfig, fold, m: int, grad) -> float:
+    """The forecast-only loss of a checked batch, as its share of a loss over m supervised values.
 
-    One row per instance channel: z~ of `_scaled_bins`; B, the target's rfft
-    T over the layer's bins 1..n_out, a view of this thread's "target"
-    buffer; and e0, the squared spectral error outside those bins, which no
-    layer changes: |n mean - T_0|^2 at DC, where the output's spectrum is
-    n mean, plus |T_k|^2 twice for each bin above the layer, once for the
-    Nyquist bin.
+    fold is V, the layer folded into the forecast rows' synthesis
+    (`_real_fold`); the residual is r = z V - u over the rows of `_tail_rows`.
+    Writes [db; dW] = (conj(z~)^T (2 / m) r) S^H into grad, an
+    (n_in + 1, n_out) complex array.
+    """
+    last = cfg.target_rows
+    z, u = _tail_rows(x3, t3, cfg, last)
+    r = _tail_residual(z, u, fold)
+    loss = float(np.vdot(r, r)) / m
+    r *= 2.0 / m
+    # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows;
+    # u is spent, so its "target" buffer is free
+    zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], last)))
+    np.matmul(zr.reshape(-1, 2 * last), _tail_adjoint(cfg, last), out=grad.view(np.float64))
+    return loss
+
+
+def _spectral_pass(x3, t3, cfg: ModelConfig, stacked, m: int, grad) -> float:
+    """The whole-window loss of a checked batch, as its share of a loss over m supervised values.
+
+    stacked is W~ = [b; W]. One row per instance channel: z~ of
+    `_scaled_bins`; B, the target's rfft T over the layer's bins 1..n_out;
+    and e0, the squared spectral error outside those bins, which no layer
+    changes: |n mean - T_0|^2 at DC, where the output's spectrum is n mean,
+    plus |T_k|^2 twice for each bin above the layer, once for the Nyquist
+    bin. Writes [db; dW] = 4 / (m n) conj(z~)^T R' into grad, an
+    (n_in + 1, n_out) complex array.
     """
     n = cfg.output_len
     spectrum = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)
@@ -490,46 +514,8 @@ def _spectral_features(x3, t3, cfg: ModelConfig):
         e0 -= above[:, -2]
     dc = spectrum[:, 0].real - n * mean[:, 0]
     e0 += dc * dc
-    return z, spectrum[:, 1 : 1 + cfg.n_out], e0
-
-
-def _features(x3, t3, cfg: ModelConfig):
-    """The feature pass of a checked batch: all its loss needs of the windows.
-
-    Rows are instance channels, window by window, in this thread's scratch
-    buffers: (z, u) of `_tail_rows` over the forecast-only target rows, else
-    (z~, B, e0) of `_spectral_features`. No layer enters them; the layer
-    meets them in `_layer_pass`.
-    """
-    if cfg.target_rows < cfg.output_len:
-        return _tail_rows(x3, t3, cfg, cfg.target_rows)
-    return _spectral_features(x3, t3, cfg)
-
-
-def _layer_pass(features, cfg: ModelConfig, operand, m: int, grad) -> float:
-    """The loss of the rows of `_features`, as their share of a loss over m supervised values.
-
-    operand is the layer as the rows meet it: the (n_in + 1, n_out) W~ =
-    [b; W] for the whole window, else V, the layer folded into the forecast
-    rows' synthesis (`_real_fold`). Their gradient [db; dW] is written into
-    grad, an (n_in + 1, n_out) complex array. The rows are spent: the pass
-    computes in place on them.
-    """
-    n = cfg.output_len
-    if cfg.target_rows < n:
-        z, u = features
-        r = _tail_residual(z, u, operand)
-        loss = float(np.vdot(r, r)) / m
-        r *= 2.0 / m
-        # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows;
-        # u is spent, so its "target" buffer is free
-        zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], r.shape[1])))
-        np.matmul(zr.reshape(-1, 2 * r.shape[1]), _tail_adjoint(cfg, r.shape[1]),
-                  out=grad.view(np.float64))
-        return loss
-
-    z, b, e0 = features
-    resid = np.matmul(z, operand, out=_scratch("work", b.shape, np.complex128))
+    b = spectrum[:, 1 : 1 + cfg.n_out]
+    resid = np.matmul(z, stacked, out=_scratch("work", b.shape, np.complex128))
     resid -= b
     nyquist = cfg.n_out == n // 2
     if nyquist:
@@ -561,21 +547,22 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
 
     Returns (loss, dW, db) with dW shaped like layer.weight and db like
     layer.bias; see the module docstring for the adjoint chain of each
-    supervision. A batch that splits (`_halves`) runs both passes on each
-    half, with one layer operand for both, and adds the halves' losses and
-    gradients.
+    supervision. A batch that splits (`_halves`) runs the supervision's pass
+    on each half, with one layer operand for both, and adds the halves'
+    losses and gradients.
     """
     _check_layer(cfg, layer)
     x3, t3 = _checked_pair(x, target, cfg)
     if cfg.target_rows < cfg.output_len:
-        operand = _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))  # V
+        loss_pass, operand = _tail_pass, _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))
     else:
+        loss_pass = _spectral_pass
         operand = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)  # W~
     grad = np.empty((cfg.n_in + 1, cfg.n_out), np.complex128)  # [db; dW]
 
     def part(w):
         out = np.empty_like(grad) if w.start else grad
-        return _layer_pass(_features(x3[w], t3[w], cfg), cfg, operand, t3.size, out), out
+        return loss_pass(x3[w], t3[w], cfg, operand, t3.size, out), out
 
     (loss, _), *rest = _halves(part, cfg, len(x3))
     for second_loss, second in rest:

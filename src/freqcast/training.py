@@ -326,7 +326,7 @@ def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | No
     A solve on the training windows' `ValStatistics` over the whole output
     window, taken in one pass. With z~ the complex rows behind z and B the
     target's rfft over the layer's bins, that loss is (sum e0 + 2 |z~ W~ -
-    B|^2 - |Nyquist column|^2) / (n m) (`model._spectral_features`), so every
+    B|^2 - |Nyquist column|^2) / (n m) (`model._spectral_pass`), so every
     bin below Nyquist is a complex least-squares problem: G1 W~ = sum z~^H B,
     with G1 = sum z~^H z~ read off H's blocks. From bin 1 up B is as much the
     rfft of u = t - mean as of t, so that right side is the FFT of C's rows

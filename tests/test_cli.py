@@ -1209,6 +1209,15 @@ def _plus(make_argv, *extra):
     pytest.param(_plus(_missing_data("grid"), "--set", "supervisions=forecast, forecast"), 2,
                  "key 'supervisions': 'forecast' repeats an earlier value",
                  id="supervisions=forecast,forecast"),
+    # a value the checkpoint's int64 fields cannot hold exits before the data file is opened
+    pytest.param(_plus(_missing_data("train"), "--set", f"harmonic={2**63}"), 2,
+                 f"harmonic must be < 2^63, got {2**63}", id="harmonic=2^63"),
+    pytest.param(_plus(_missing_data("train"), "--set", f"period={2**63}"), 2,
+                 f"period must be < 2^63, got {2**63}", id="period=2^63"),
+    pytest.param(_plus(_missing_data("grid"), "--set", f"harmonics=1,{2**63}"), 2,
+                 f"harmonic must be < 2^63, got {2**63}", id="grid harmonics=1,2^63"),
+    pytest.param(_plus(_missing_data("grid"), "--set", f"period={2**63}"), 2,
+                 f"period must be < 2^63, got {2**63}", id="grid period=2^63"),
     pytest.param(_plus(_missing_data("train"), "--seed", "0,0"), 2,
                  "key 'seeds': '0' repeats an earlier value in '0,0'", id="--seed 0,0"),
     pytest.param(_plus(_missing_data("train"), "--set", "horizon=8", "--set", " horizon =4"), 2,

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from freqcast import model, training
 from freqcast.data import ArrayWindows
-from freqcast.errors import InvalidArgumentError, InvalidLengthError, InvalidValueError, ShapeError
+from freqcast.errors import (
+    FreqcastError,
+    InvalidArgumentError,
+    InvalidLengthError,
+    InvalidValueError,
+    ShapeError,
+)
 from freqcast.model import (
     RIN_EPS,
     ComplexLinear,
@@ -944,6 +950,31 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = ModelConfig.for_forecast(90, 96, 96, 4, 7, Supervision.FORECAST_ONLY)
     layer = init_params(cfg, 41)
     path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, layer)
+    cfg2, layer2 = load_checkpoint(path)
+    assert cfg2 == cfg
+    assert np.array_equal(layer2.weight, layer.weight)
+    assert np.array_equal(layer2.bias, layer.bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(input_len=st.integers(1, 8).map(lambda n: 2 * n),
+       horizon=st.integers(0, 8).map(lambda n: 2 * n),
+       period=st.integers(0, 2**70), harmonic=st.integers(0, 2**70),
+       channels=st.integers(1, 3), supervision=st.sampled_from(Supervision),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_config_is_refused_or_survives_its_checkpoint(tmp_path_factory, input_len, horizon,
+                                                        period, harmonic, channels,
+                                                        supervision, seed):
+    try:
+        cfg = ModelConfig(input_len, input_len + horizon, period, harmonic, channels,
+                          supervision)
+    except FreqcastError:
+        assert (period < 1 or max(period, harmonic) >= 2**63
+                or (horizon == 0 and supervision is Supervision.FORECAST_ONLY))
+        return
+    layer = init_params(cfg, seed)
+    path = tmp_path_factory.getbasetemp() / "property.ckpt"
     save_checkpoint(path, cfg, layer)
     cfg2, layer2 = load_checkpoint(path)
     assert cfg2 == cfg

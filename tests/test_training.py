@@ -26,6 +26,7 @@ from freqcast.model import (
     init_params,
     model_forward,
     pack_params,
+    rin_normalize,
     unpack_params,
 )
 from freqcast.training import (
@@ -618,9 +619,13 @@ def test_exact_train_mse_is_at_most_adams(name):
 
 
 def _min_norm_layer(cfg, windows):
-    """The min-norm least-squares layer, by pseudo-inverse of the stacked feature rows."""
-    x3, t3 = model._checked_pair(*windows.batch(slice(None)), cfg)
-    z, b, _ = (np.copy(f) for f in model._features(x3, t3, cfg))
+    """The min-norm least-squares layer, by pseudo-inverse of the stacked rows z~ against B."""
+    x, t = windows.batch(slice(None))
+    xn, state = rin_normalize(x)
+    kept = np.fft.rfft(xn, axis=1)[:, 1 : 1 + cfg.n_in]
+    z = np.concatenate((np.ones_like(kept[:, :1]), kept), axis=1) * state.std
+    z = z.transpose(0, 2, 1).reshape(-1, 1 + cfg.n_in)  # z~ = std * [1, kept bins]
+    b = np.fft.rfft(t, axis=1)[:, 1 : 1 + cfg.n_out].transpose(0, 2, 1).reshape(-1, cfg.n_out)
     stacked = np.linalg.pinv(z) @ b
     if cfg.n_out == cfg.output_len // 2:  # real problem [Re z, -Im z] against Re B
         folded = np.linalg.pinv(np.hstack((z.real, -z.imag))) @ b[:, -1].real
@@ -669,11 +674,11 @@ def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
                                 cfg)
     assert model._splits(cfg, training.EVAL_BATCH) and not model._splits(cfg, 26)
     threads, spectral = [], []
-    bins, features = model._normalized_bins, model._spectral_features
+    bins, spectral_pass = model._normalized_bins, model._spectral_pass
     monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.append(
         threading.current_thread()) or bins(x3, cfg))
-    monkeypatch.setattr(model, "_spectral_features", lambda *args: spectral.append(1) or
-                        features(*args))
+    monkeypatch.setattr(model, "_spectral_pass", lambda *args: spectral.append(1) or
+                        spectral_pass(*args))
     results = []
     for idle in (False, True):
         monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
