@@ -286,6 +286,16 @@ def _check_forecast_cells(horizon: int, period: int, look_backs, harmonics,
             raise ConfigError(f"look-back {look_back}, horizon {horizon}: {exc}") from None
 
 
+def _check_look_backs(frame, profile: dat.DatasetProfile, horizon: int, look_backs) -> None:
+    """Refuse, before any cell trains, a look-back whose window some split cannot hold."""
+    splits = zip(("train", "val", "test"), dat.chrono_split(frame, profile))
+    for (name, split), look_back in itertools.product(splits, look_backs):
+        lo, hi = dat.lookback_extended(split, look_back)  # the train split starts at row 0
+        if hi - lo < look_back + horizon:
+            raise InvalidLengthError(f"look-back {look_back}: the {name} split has {hi - lo} "
+                                     f"rows, fewer than one {look_back + horizon}-row window")
+
+
 def _standardized_frame(cfg: dict, profile: dat.DatasetProfile,
                         model_cfg: mdl.ModelConfig | None):
     """The config's data, standardized by its train split under `profile`.
@@ -367,6 +377,7 @@ def cmd_grid(cfg: dict, run_dir: Path) -> None:
                           cfg["harmonics"], cfg["supervisions"])
     _pin_grid_config(cfg, run_dir)
     frame = _standardized_frame(cfg, profile, None)
+    _check_look_backs(frame, profile, cfg["horizon"], cfg["look_backs"])
     grid_path = run_dir / "grid.csv"
     done = trn.read_grid_csv(grid_path) if grid_path.exists() else []
 
@@ -464,6 +475,9 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     if frame.length - split < window:
         raise ConfigError(f"the {frame.length - split} rows after train_rows {split} "
                           f"are fewer than window {window}")
+    if not labels[split:].any():
+        raise InvalidArgumentError(f"the {frame.length - split} scored rows after train_rows "
+                                   f"{split} hold no positive label to select a threshold on")
     frame_std, _ = dat.standardize(frame, (0, split))
     values = frame_std.values
 

@@ -6,18 +6,17 @@ complex-valued linear layer (weights shared across channels):
     normalize  ->  rfft  ->  drop DC, keep first n_in bins  ->  X @ W + b
       -> zero-pad to output_len/2 bins, DC forced to 0  ->  irfft  -> denorm
 
-Everything around the layer is linear or instance-affine, so the exact
-gradient of the MSE with respect to W and b is an adjoint chain ending in
-
-    dW = conj(X).T @ G        db = sum_batch G
-
-where row r of G is the loss's gradient with respect to the layer output
-bins of instance channel r. With n = output_len, m the number of supervised
-values and std, mean the instance statistics, the chain to G depends on the
-rows the loss covers (`ModelConfig.target_rows`), and each supervision has
-one loss pass that reads the windows and applies W~ = [b; W]. Both take
-each instance channel's z~ = std * [1, X], whose first entry stands for the
-bias:
+The rfft is linear and the layer drops the DC bin, so with std and mean the
+instance statistics, std * X is the kept bins of rfft(x - mean), and the
+output is irfft([0, z~ W~]) + mean with W~ = [b; W] and each instance
+channel's z~ = [std, std * X] (`_scaled_bins`). The normalization is z~'s
+bias entry: no pass divides by std or multiplies by it. Everything around
+the layer is linear, so the exact gradient of the MSE is an adjoint chain
+ending in [db; dW] = conj(z~)^T G, where row r of G is the loss's gradient
+with respect to instance channel r's output bins z~ W~. With n = output_len
+and m the number of supervised values, the chain to G depends on the rows
+the loss covers (`ModelConfig.target_rows`). The forward pass and each
+supervision's loss pass take z~:
 
 * the whole output window (backcast+forecast, and every reconstruction
   model), `_spectral_pass`: the residual is formed in frequency. Over the
@@ -200,8 +199,7 @@ def rin_normalize(x) -> tuple[np.ndarray, RinState]:
         raise ShapeError(f"expected (L, C) or (B, L, C), got shape {x.shape}")
     if x.shape[axis] < 2:
         raise InvalidLengthError("need at least 2 timesteps per instance")
-    if not np.all(np.isfinite(x)):
-        raise InvalidValueError("input window contains non-finite values")
+    _check_finite(x)
     mean = x.mean(axis=axis, keepdims=True)
     std = np.maximum(x.std(axis=axis, keepdims=True), RIN_EPS)
     return (x - mean) / std, RinState(mean, std)
@@ -246,10 +244,11 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     batch loop does not fault in fresh pages for each batch. Contents are
     undefined, and no public function returns a view of one. Each thread owns
     its buffers, so a half batch on the worker computes in the worker's. The
-    buffers are: "work", the input rows and then the layer's output bins or
-    the residual of the loss pass; "spectrum", the rows' spectrum, whose
-    first bins become z~ (`_scaled_bins`); "target", the target's spectrum,
-    whose layer bins are B, or u and then z^T times the tail residual.
+    buffers are: "work", the centred input rows and then the layer's output
+    bins or the residual of the loss pass; "spectrum", the rows' squares and
+    then their spectrum, whose first 1 + n_in bins, DC overwritten by std,
+    are z~ (`_scaled_bins`); "target", the target's spectrum, whose layer
+    bins are B, or u and then z^T times the tail residual.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -336,13 +335,12 @@ def _check_finite(x3) -> None:
         raise InvalidValueError("input window contains non-finite values")
 
 
-def _normalized_bins(x3, cfg: ModelConfig):
-    """Kept input bins of the normalized windows, in channel-major layout.
+def _scaled_bins(x3, cfg: ModelConfig):
+    """(z~, mean) of a checked batch, with z~ = [std, rfft(x - mean) bins 1..n_in].
 
-    One (batch*channels, timesteps) row per instance channel keeps the
-    normalizer reductions contiguous and the layer contraction a single BLAS
-    matmul. Returns (kept, mean, std) with kept shaped (batch*channels, n_in),
-    a view of this thread's spectrum buffer.
+    One complex row per instance channel, (batch*channels, 1 + n_in), channel
+    major, so the reductions are contiguous and the layer contraction is one
+    BLAS matmul; a view of this thread's "spectrum" buffer.
     """
     batch, length, channels = x3.shape
     rows = _scratch("work", (batch, channels, length))
@@ -359,23 +357,21 @@ def _normalized_bins(x3, cfg: ModelConfig):
     std /= length
     np.sqrt(std, out=std)
     np.maximum(std, RIN_EPS, out=std)
-    rows /= std
     np.fft.rfft(rows, axis=-1, out=spectrum)
-    return spectrum[:, 1 : 1 + cfg.n_in], mean, std
+    spectrum[:, 0] = std[:, 0]  # the bias entry, over DC: the centred rows' sum, about 0
+    return spectrum[:, : 1 + cfg.n_in], mean
 
 
-def _forward_rows(x3, cfg: ModelConfig, layer: ComplexLinear):
-    """Full-window pipeline: the (batch*channels, output_len) output rows."""
-    kept, mean, std = _normalized_bins(x3, cfg)
+def _forward_rows(x3, cfg: ModelConfig, stacked):
+    """The (batch*channels, output_len) output rows irfft([0, z~ W~]) + mean; stacked is W~."""
+    z, mean = _scaled_bins(x3, cfg)
     # DC forced to 0; irfft zero-pads the bins above n_out itself
-    bins = _scratch("work", (kept.shape[0], 1 + cfg.n_out), np.complex128)
+    bins = _scratch("work", (len(z), 1 + cfg.n_out), np.complex128)
     bins[:, 0] = 0.0
-    np.matmul(kept, layer.weight, out=bins[:, 1:])
-    bins[:, 1:] += layer.bias
-    yn = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
-    yn *= std
-    yn += mean
-    return yn
+    np.matmul(z, stacked, out=bins[:, 1:])
+    y = np.fft.irfft(bins, n=cfg.output_len, axis=-1)
+    y += mean
+    return y
 
 
 @functools.lru_cache(maxsize=16)
@@ -415,8 +411,8 @@ def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
 def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
     """The layer folded into the synthesis S, as (2 n_in + 2, last) reals V.
 
-    Rows 2i and 2i+1 are Re and -Im of row i of [b; W] @ S, so for a row z
-    of `_tail_rows`, z @ V = std * Re((x @ W + b) @ S).
+    Rows 2i and 2i+1 are Re and -Im of row i of W~ @ S, so for a row z of
+    `_tail_rows`, z @ V = Re(z~ @ W~ @ S).
     """
     fold = np.empty((len(layer.weight) + 1, synth.shape[1]), np.complex128)
     np.matmul(layer.bias, synth, out=fold[0])
@@ -424,27 +420,14 @@ def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
     return np.stack((fold.real, -fold.imag), axis=1).reshape(-1, synth.shape[1])
 
 
-def _scaled_bins(x3, cfg: ModelConfig):
-    """(z~, mean) of a checked batch, with z~ = std * [1, kept bins].
-
-    One complex row per instance channel, (batch*channels, 1 + n_in), a view
-    of this thread's "spectrum" buffer; its first entry stands for the bias.
-    """
-    kept, mean, std = _normalized_bins(x3, cfg)
-    kept.view(np.float64)[...] *= std
-    z = _scratch("spectrum", (len(kept), x3.shape[1] // 2 + 1), np.complex128)[:, :1 + cfg.n_in]
-    z[:, 0] = std[:, 0]
-    return z, mean
-
-
 def _tail_rows(x3, t3, cfg: ModelConfig, last: int):
     """(z, u) of a checked batch over the last `last` output and target rows.
 
-    One row per instance channel: z is z~ (`_scaled_bins`) as interleaved
-    (re, im) reals, (batch*channels, 2 n_in + 2); u = t - mean is
-    (batch*channels, last) in this thread's "target" buffer. With
-    V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on those
-    rows, y - t, is z @ V - u (`_tail_residual`).
+    One row per instance channel: z is z~ = [std, kept bins of rfft(x - mean)]
+    (`_scaled_bins`) as interleaved (re, im) reals, (batch*channels, 2 n_in + 2);
+    u = t - mean is (batch*channels, last) in this thread's "target" buffer.
+    With V = `_real_fold(layer, _tail_synthesis(cfg, last))` the error on
+    those rows, y - t, is z @ V - u (`_tail_residual`).
     """
     z, mean = _scaled_bins(x3, cfg)
     u = _scratch("target", (x3.shape[0], cfg.channels, last))
@@ -464,7 +447,8 @@ def model_forward(x, cfg: ModelConfig, layer: ComplexLinear) -> np.ndarray:
     _check_layer(cfg, layer)
     x3, squeeze = _as_batch(x, cfg.input_len, cfg.channels, "input")
     _check_finite(x3)
-    y_rows = np.concatenate(_halves(lambda w: _forward_rows(x3[w], cfg, layer), cfg, len(x3)))
+    stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)  # W~
+    y_rows = np.concatenate(_halves(lambda w: _forward_rows(x3[w], cfg, stacked), cfg, len(x3)))
     y = y_rows.reshape(x3.shape[0], cfg.channels, cfg.output_len).transpose(0, 2, 1)
     return y[0] if squeeze else y
 
@@ -492,13 +476,13 @@ def _tail_pass(x3, t3, cfg: ModelConfig, fold, m: int, grad) -> float:
 def _spectral_pass(x3, t3, cfg: ModelConfig, stacked, m: int, grad) -> float:
     """The whole-window loss of a checked batch, as its share of a loss over m supervised values.
 
-    stacked is W~ = [b; W]. One row per instance channel: z~ of
-    `_scaled_bins`; B, the target's rfft T over the layer's bins 1..n_out;
-    and e0, the squared spectral error outside those bins, which no layer
-    changes: |n mean - T_0|^2 at DC, where the output's spectrum is n mean,
-    plus |T_k|^2 twice for each bin above the layer, once for the Nyquist
-    bin. Writes [db; dW] = 4 / (m n) conj(z~)^T R' into grad, an
-    (n_in + 1, n_out) complex array.
+    stacked is W~ = [b; W]. One row per instance channel: z~ of `_scaled_bins`,
+    so z~ W~ is rfft(y - mean) over the layer's bins 1..n_out; B, the target's
+    rfft T there; and e0, the squared spectral error outside those bins,
+    which no layer changes: |n mean - T_0|^2 at DC, where the output's
+    spectrum is n mean, plus |T_k|^2 twice for each bin above the layer,
+    once for the Nyquist bin. Writes [db; dW] = 4 / (m n) conj(z~)^T R' into
+    grad, an (n_in + 1, n_out) complex array.
     """
     n = cfg.output_len
     spectrum = _scratch("target", (t3.shape[0] * t3.shape[2], n // 2 + 1), np.complex128)

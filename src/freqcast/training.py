@@ -406,7 +406,6 @@ def train_seeds(frame, profile, horizon: int, look_back: int, harmonic: int,
     )
     # called through the module, so a wrapper of data.split_windows sees the call
     train_w, val_w, test_w = dat.split_windows(frame, profile, look_back, horizon, supervision)
-    _check_sets(train_w, val_w)
     # the seeds' fits share the validation statistics, which depend on no seed
     val_stats = None if spec.max_epochs == 1 else validation_statistics(cfg, val_w, horizon)
     runs = []

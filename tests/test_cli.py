@@ -633,9 +633,9 @@ def test_commands_in_one_process_repeat_bytes(tmp_path, sine_csv, synth_stream):
 def _split_and_serial_runs(tmp_path, monkeypatch, argv):
     """The run directories of argv with every batch halved, on the worker, then on the caller."""
     threads = set()
-    normalized_bins = model._normalized_bins
-    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.add(
-        threading.current_thread()) or normalized_bins(x3, cfg))
+    scaled_bins = model._scaled_bins
+    monkeypatch.setattr(model, "_scaled_bins", lambda x3, cfg: threads.add(
+        threading.current_thread()) or scaled_bins(x3, cfg))
     monkeypatch.setattr(model, "_splits", lambda cfg, windows: windows >= 2)
     runs = []
     for worker in (True, False):
@@ -829,6 +829,25 @@ def test_interrupted_grid_keeps_every_finished_cell(tmp_path, sine_csv, monkeypa
     assert read_grid_csv(run_dir / "grid.csv")[0] == first
     assert sorted(p.name for p in run_dir.iterdir()) \
         == ["config.json", "grid.csv", "selected.json"]
+
+
+@pytest.mark.parametrize("override, message", [
+    ("look_backs=16,176", "look-back 176: the train split has 182 rows, fewer than one "
+                          "184-row window"),
+    ("horizon=26", "look-back 16: the val split has 41 rows, fewer than one 42-row window"),
+], ids=["look_backs=16,176", "horizon=26"])
+def test_grid_refuses_an_unwindowable_look_back_before_any_cell(tmp_path, sine_csv, capsys,
+                                                                monkeypatch, override, message):
+    cells = []
+    run_cell = training.run_combination
+    monkeypatch.setattr(training, "run_combination",
+                        lambda *args: cells.append(args) or run_cell(*args))
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(_grid_cfg(tmp_path, sine_csv)), "--out", str(out),
+                 "--set", override]) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not cells and not list(out.rglob("grid.csv"))
 
 
 def test_no_command_leaves_a_tmp_file(tmp_path, sine_csv):
@@ -1108,6 +1127,13 @@ def _label_column_holding_2(tmp_path, sine_csv):
     return _detect_argv(tmp_path, labeled, "--train-first", label_column="label")
 
 
+def _detect_no_scored_positive(tmp_path, sine_csv):
+    labels = np.zeros(260, dtype=int)
+    labels[:150:50] = 1  # rows 0, 50 and 100, all before train_rows 150
+    write_labels_csv(tmp_path / "early.csv", labels)
+    return _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "early.csv")
+
+
 def _train_run(tmp_path, sine_csv):
     cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
                        timestamp_column="false", input_len=32, horizon=8)
@@ -1183,6 +1209,8 @@ def _plus(make_argv, *extra):
                                              "length=100000000000000000"], 3,
                  "error: out of memory (Unable to allocate", id="synth length=10^17"),
     (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
+    # refused before the fit, so no model.ckpt is left behind
+    (_detect_no_scored_positive, 3, "the 110 scored rows after train_rows 150 hold no positive"),
     pytest.param(_plus(_train_run, "--set", "max_epochs=x"), 2,
                  "key 'max_epochs': expected an integer, got 'x'", id="max_epochs=x"),
     pytest.param(_plus(_train_run, "--set", "learning_rate=abc"), 2,

@@ -38,7 +38,7 @@ from freqcast.model import (
     param_count,
     rin_denormalize,
     rin_normalize,
-    _normalized_bins,
+    _scaled_bins,
     _tail_synthesis,
     save_checkpoint,
     unpack_params,
@@ -104,28 +104,29 @@ def test_normalized_bins_match_rin_normalize_then_rfft(channels):
     rng = np.random.default_rng(40 + channels)
     x = rng.normal(3.0, 2.0, size=(5, 24, channels))
     before = x.copy()
-    kept, mean, std = _normalized_bins(x, cfg)
+    z, mean = _scaled_bins(x, cfg)
     assert np.array_equal(x, before)
 
+    # z~ = [std, kept bins of rfft(x - mean)] = std * [1, kept bins of the normalized rfft]
     xn, state = rin_normalize(x)
-    want = np.fft.rfft(xn, axis=1)[:, 1 : 1 + cfg.n_in, :]
+    want = state.std * np.fft.rfft(xn, axis=1)[:, 1 : 1 + cfg.n_in, :]
 
     def rows(a):  # (B, k, C) -> channel-major (B*C, k)
         return a.transpose(0, 2, 1).reshape(5 * channels, -1)
 
-    assert kept.shape == (5 * channels, cfg.n_in)
-    assert np.abs(kept - rows(want)).max() <= 1e-12
+    assert z.shape == (5 * channels, 1 + cfg.n_in)
+    assert np.abs(z[:, 1:] - rows(want)).max() <= 1e-12
+    assert np.abs(z[:, :1] - rows(state.std)).max() <= 1e-12
     assert np.abs(mean - rows(state.mean)).max() <= 1e-12
-    assert np.abs(std - rows(state.std)).max() <= 1e-12
 
     # the statistics are np.mean's and np.std's bit for bit, on a constant
     # channel and on one offset by 1e6 too
     x[0, :, 0] = 7.25
     x[1, :, -1] += 1e6
-    _, mean, std = _normalized_bins(x, cfg)
+    z, mean = _scaled_bins(x, cfg)
     assert np.array_equal(mean, np.mean(rows(x), axis=-1, keepdims=True))
-    assert np.array_equal(std, np.maximum(np.std(rows(x), axis=-1, keepdims=True), RIN_EPS))
-    assert std[0, 0] == RIN_EPS
+    assert np.array_equal(z[:, :1], np.maximum(np.std(rows(x), axis=-1, keepdims=True), RIN_EPS))
+    assert z[0, 0] == RIN_EPS and not z[0, 1:].any()
 
 
 def test_forward_zero_weights_returns_instance_mean():
@@ -217,14 +218,14 @@ def test_forward_matches_explicitly_padded_irfft_bit_for_bit():
                 ModelConfig.for_forecast(96, 24, 24, 0, 1)):
         layer = init_params(cfg, 3)
         x = np.random.default_rng(4).normal(size=(3, cfg.input_len, cfg.channels))
-        # the model's channel-major rows, normalized with the same operations
+        # the model's channel-major rows and z~ = [std, rfft(x - mean)], with the same operations
         rows = x.transpose(0, 2, 1).reshape(-1, cfg.input_len)
         mean = rows.mean(axis=-1, keepdims=True)
-        std = np.maximum(rows.std(axis=-1, keepdims=True), 1e-5)
-        kept = np.fft.rfft((rows - mean) / std, axis=-1)[:, 1 : 1 + cfg.n_in]
+        z = np.fft.rfft(rows - mean, axis=-1)[:, : 1 + cfg.n_in]
+        z[:, 0] = np.maximum(rows.std(axis=-1), 1e-5)
         padded = np.zeros((rows.shape[0], cfg.output_len // 2 + 1), dtype=complex)
-        padded[:, 1 : 1 + cfg.n_out] = kept @ layer.weight + layer.bias
-        y = np.fft.irfft(padded, n=cfg.output_len, axis=-1) * std + mean
+        padded[:, 1 : 1 + cfg.n_out] = z @ np.vstack((layer.bias, layer.weight))
+        y = np.fft.irfft(padded, n=cfg.output_len, axis=-1) + mean
         y = y.reshape(3, cfg.channels, cfg.output_len).transpose(0, 2, 1)
         assert np.array_equal(model_forward(x, cfg, layer), y)
 
@@ -550,15 +551,15 @@ def _halve_every_batch(monkeypatch):
 def split_log(monkeypatch):
     """Halve every batch, on the worker; the list records the thread of every pass."""
     threads = []
-    normalized_bins = model._normalized_bins
+    scaled_bins = model._scaled_bins
 
     def logged(x3, cfg):
         threads.append(threading.current_thread())
-        return normalized_bins(x3, cfg)
+        return scaled_bins(x3, cfg)
 
     _halve_every_batch(monkeypatch)
     monkeypatch.setattr(model, "_cpu_idle", lambda: True)
-    monkeypatch.setattr(model, "_normalized_bins", logged)
+    monkeypatch.setattr(model, "_scaled_bins", logged)
     return threads
 
 

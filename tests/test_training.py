@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqcast import model, training
@@ -413,13 +413,13 @@ def test_val_statistics_mse_matches_evaluate(name, kind):
 def test_val_statistics_do_not_depend_on_the_worker(monkeypatch):
     cfg, windows, steps = _geometry("split")  # its first slice splits, on the worker if idle
     threads = set()
-    bins = model._normalized_bins
+    bins = model._scaled_bins
 
     def logged(x3, cfg):
         threads.add(threading.current_thread())
         return bins(x3, cfg)
 
-    monkeypatch.setattr(model, "_normalized_bins", logged)
+    monkeypatch.setattr(model, "_scaled_bins", logged)
     layer = init_params(cfg, 3)
     results = []
     for idle in (False, True):
@@ -456,6 +456,12 @@ def test_train_rejects_a_non_finite_val_target():
 
 
 @settings(max_examples=40, deadline=None)
+# (input_len, extra, harmonic, channels, forecast_only, count, steps, seed) cases that a
+# bound relative to the MSE refused: one window, one channel, a single scored row
+@example(12, 16, 0, 1, False, 1, 1, 1)
+@example(38, 0, 0, 1, False, 1, 1, 116)
+@example(20, 14, 0, 1, False, 1, 1, 0)
+@example(48, 0, 0, 1, False, 1, 1, 0)
 @given(input_len=st.integers(2, 24).map(lambda n: 2 * n), extra=st.integers(0, 24),
        harmonic=st.integers(0, 3), channels=st.integers(1, 3),
        forecast_only=st.booleans(), count=st.integers(1, 150),
@@ -472,8 +478,11 @@ def test_val_statistics_mse_matches_evaluate_everywhere(input_len, extra, harmon
                           + 1j * rng.normal(size=(cfg.n_in, cfg.n_out)),
                           rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out))
     want, _ = evaluate(cfg, layer, windows, steps)
-    got = training.validation_statistics(cfg, windows, steps).mse(layer)
-    assert abs(got - want) <= 1e-12 * want
+    stats = training.validation_statistics(cfg, windows, steps)
+    # e - 2<V, C> + <V, H V> rounds at the scale of its terms, not of the error
+    fold = model._real_fold(layer, stats.synth)
+    scale = (stats.energy + float(np.vdot(fold, stats.gram @ fold))) / stats.count
+    assert abs(stats.mse(layer) - want) <= 1e-12 * scale
 
 
 def test_noise_free_fit_records_no_negative_val_mse():
@@ -674,8 +683,8 @@ def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
                                 cfg)
     assert model._splits(cfg, training.EVAL_BATCH) and not model._splits(cfg, 26)
     threads, spectral = [], []
-    bins, spectral_pass = model._normalized_bins, model._spectral_pass
-    monkeypatch.setattr(model, "_normalized_bins", lambda x3, cfg: threads.append(
+    bins, spectral_pass = model._scaled_bins, model._spectral_pass
+    monkeypatch.setattr(model, "_scaled_bins", lambda x3, cfg: threads.append(
         threading.current_thread()) or bins(x3, cfg))
     monkeypatch.setattr(model, "_spectral_pass", lambda *args: spectral.append(1) or
                         spectral_pass(*args))
@@ -685,7 +694,7 @@ def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
         threads.clear()
         results.append(training.exact_fit(cfg, windows, windows))
         # one pass over the training windows, for the statistics, and one over
-        # the val windows, for `evaluate`: 2 + 1 normalized parts each
+        # the val windows, for `evaluate`: 2 + 1 parts each
         assert len(threads) == 2 * 3 and not spectral
         assert (set(threads) != {threading.main_thread()}) is idle
     (serial, serial_history), (split, split_history) = results
