@@ -345,8 +345,9 @@ def _config_echo(cfg: dict, model_cfg: mdl.ModelConfig) -> dict:
             "data": str(cfg["data"]), "complex_entries": mdl.param_count(model_cfg)[0]}
 
 
-def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
-    """Write the run's fixed keys to config.json; if it exists, refuse a change."""
+def _grid_config_to_pin(cfg: dict, run_dir: Path) -> dict | None:
+    """The run's fixed keys, for a run directory without config.json; None
+    when config.json holds them already. A config.json that differs is refused."""
     pinned = {k: v for k, v in cfg.items() if k not in GRID_SWEPT}
     path = run_dir / "config.json"
     if path.exists():
@@ -365,8 +366,8 @@ def _pin_grid_config(cfg: dict, run_dir: Path) -> None:
                 + ", ".join(f"{k} ({stored.get(k)!r} -> {current.get(k)!r})"
                             for k in changed)
             )
-    else:
-        write_json(path, pinned)
+        return None
+    return pinned
 
 
 def cmd_grid(cfg: dict, run_dir: Path) -> None:
@@ -375,9 +376,11 @@ def cmd_grid(cfg: dict, run_dir: Path) -> None:
     profile = dataset_profile(cfg)
     _check_forecast_cells(cfg["horizon"], profile.period, cfg["look_backs"],
                           cfg["harmonics"], cfg["supervisions"])
-    _pin_grid_config(cfg, run_dir)
+    pinned = _grid_config_to_pin(cfg, run_dir)  # before any data is read
     frame = _standardized_frame(cfg, profile, None)
     _check_look_backs(frame, profile, cfg["horizon"], cfg["look_backs"])
+    if pinned is not None:  # a run that fails before its first cell leaves no directory
+        write_json(run_dir / "config.json", pinned)
     grid_path = run_dir / "grid.csv"
     done = trn.read_grid_csv(grid_path) if grid_path.exists() else []
 
@@ -470,8 +473,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     split = cfg["train_rows"]
     if not 0 < split < frame.length:
         raise ConfigError(f"train_rows {split} outside the {frame.length}-row series")
-    if cfg["train_first"] and split <= window:  # one train and one validation window
-        raise ConfigError(f"train_rows {split} must exceed window {window} to train")
+    if cfg["train_first"] and split < window:
+        raise ConfigError(f"train_rows {split} must be at least window {window} to train")
     if frame.length - split < window:
         raise ConfigError(f"the {frame.length - split} rows after train_rows {split} "
                           f"are fewer than window {window}")
@@ -485,11 +488,7 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         _check_channels(model_cfg, frame)
     else:
         model_cfg = mdl.ModelConfig.for_reconstruction(window, factor, frame.channels)
-        # the last fifth of the train rows' windows validate, the rest train
-        n_train = split - window + 1 - max(1, (split - window + 1) // 5)
-        train_w = ad.reconstruction_windows(values[: n_train + window - 1], window, factor)
-        val_w = ad.reconstruction_windows(values[n_train:split], window, factor)
-        layer, _ = trn.exact_fit(model_cfg, train_w, val_w)
+        layer = trn.exact_fit(model_cfg, ad.reconstruction_windows(values[:split], window, factor))
         _write_atomic(run_dir / "model.ckpt",
                       lambda p: mdl.save_checkpoint(p, model_cfg, layer))
 

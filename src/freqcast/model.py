@@ -34,9 +34,9 @@ supervision's loss pass take z~:
   bins to the rows. The residual there is r = z V - u, and [db; dW] =
   (conj(z~)^T (2 / m) r) S^H: real GEMMs, no FFT after the input's rfft,
   and no Nyquist fold, since S's Nyquist row is real. `training.evaluate`
-  and `training.validation_statistics`, whose sums are all
-  `training.exact_fit` reads, take the scored rows through the same z and
-  u, with no loss pass.
+  and `training.validation_statistics` take the scored rows through the
+  same z and u, with no loss pass. `training.exact_fit` solves one window
+  set's statistics and returns the layer, with no loss pass either.
 
 Gradients are packaged as complex numbers whose real/imag parts are the
 partial derivatives with respect to the real/imag parts of the parameter;

@@ -9,11 +9,11 @@ optimum on a small instance.
 
 The same fact makes a layer's squared error over a window set a quadratic
 form in (W, b), whose sums one pass takes (`validation_statistics`).
-`exact_fit`, which `detect` uses, solves the training windows' sums over the
-whole output window; forecast-only supervision has no normal equations in
-that form. A fit by Adam that may run more than one epoch scores every epoch
-from the validation windows' sums; only the restored epoch is scored again,
-by `evaluate`, for its reported MSE and MAE.
+`exact_fit`, which `detect` uses, solves one window set's sums over the
+whole output window and returns the layer; forecast-only supervision has no
+normal equations in that form. A fit by Adam that may run more than one
+epoch scores every epoch from the validation windows' sums; only the
+restored epoch is scored again, by `evaluate`, for its reported MSE and MAE.
 """
 
 from __future__ import annotations
@@ -235,11 +235,6 @@ def validation_statistics(cfg: ModelConfig, windows,
                          len(windows) * k * cfg.channels)
 
 
-def _check_sets(train_windows, val_windows) -> None:
-    if len(train_windows) == 0 or len(val_windows) == 0:
-        raise InvalidArgumentError("train and validation window sets must be nonempty")
-
-
 def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
           spec: TrainSpec, eval_steps: int | None = None, val_stats=None):
     """Train with seeded shuffling and early stopping on the validation MSE.
@@ -261,7 +256,8 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     `validation_statistics(cfg, val_windows, eval_steps)`, which fits of
     several seeds take once.
     """
-    _check_sets(train_windows, val_windows)
+    if len(train_windows) == 0 or len(val_windows) == 0:
+        raise InvalidArgumentError("train and validation window sets must be nonempty")
     mdl._check_layer(cfg, layer)
     if val_stats is None and spec.max_epochs > 1:
         val_stats = validation_statistics(cfg, val_windows, eval_steps)
@@ -320,10 +316,10 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     return best, history
 
 
-def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | None = None):
-    """(layer, one-row history) of the layer with the least whole-window training MSE.
+def exact_fit(cfg: ModelConfig, windows) -> ComplexLinear:
+    """The layer with the least whole-window MSE over `windows`.
 
-    A solve on the training windows' `ValStatistics` over the whole output
+    A solve on the windows' `ValStatistics` over the whole output
     window, taken in one pass. With z~ the complex rows behind z and B the
     target's rfft over the layer's bins, that loss is (sum e0 + 2 |z~ W~ -
     B|^2 - |Nyquist column|^2) / (n m) (`model._spectral_pass`), so every
@@ -336,14 +332,12 @@ def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | No
     side C @ (-1)^t. That problem is always singular (the bias's Im column is
     zero, as is the input Nyquist bin's when the layer keeps it), so each is
     solved min-norm (`np.linalg.lstsq`), which also serves a singular G1 (too
-    few windows, constant channels). The train MSE is the statistics'
-    quadratic form at the solution; the val MSE and MAE are `evaluate`'s.
+    few windows, constant channels).
     """
-    _check_sets(train_windows, val_windows)
     if cfg.target_rows < cfg.output_len:
         raise InvalidArgumentError("the exact fit solves the whole output window; "
                                    "forecast-only supervision needs `train`")
-    stats = validation_statistics(cfg, train_windows, None)
+    stats = validation_statistics(cfg, windows, None)
     gram, cross = stats.gram, stats.cross
     if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
         raise TrainingDivergedError("the exact fit's normal equations are not finite")
@@ -358,14 +352,7 @@ def exact_fit(cfg: ModelConfig, train_windows, val_windows, eval_steps: int | No
         sign = np.where(np.arange(cfg.output_len) % 2, -1.0, 1.0)
         folded = np.linalg.lstsq(gram, cross @ sign, rcond=None)[0]  # (Re, -Im) pairs
         stacked[:, -1] = folded[re] - 1j * folded[im]
-    layer = ComplexLinear(stacked[1:], stacked[0])
-
-    train_mse = stats.mse(layer)
-    val_mse, val_mae = evaluate(cfg, layer, val_windows, eval_steps)
-    if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-        raise TrainingDivergedError(
-            f"non-finite exact fit: train MSE {train_mse}, validation MSE {val_mse}")
-    return layer, [EpochStats(1, train_mse, val_mse, val_mae, True)]
+    return ComplexLinear(stacked[1:], stacked[0])
 
 
 @dataclass(frozen=True)

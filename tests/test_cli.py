@@ -1,16 +1,21 @@
 """End-to-end command checks on small fixtures: artifacts, determinism,
 resume, schema validation, and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import struct
+import tempfile
 import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import model, training
 from freqcast import data as data_module
@@ -23,6 +28,7 @@ from freqcast.data import (
     load_csv,
     split_windows,
     standardize,
+    synth_anomaly,
     write_labels_csv,
     write_series_csv,
 )
@@ -717,8 +723,9 @@ def test_detect_forecast_checkpoint_exits_2_before_reading_data(tmp_path, capsys
 
 
 @pytest.mark.parametrize("train_rows, code, message", [
-    (40, 2, "train_rows 40 must exceed window 40"),  # no window left to validate on
-    (41, 0, None),  # one train and one validation window
+    (39, 2, "train_rows 39 must be at least window 40"),  # no whole window to fit
+    (40, 0, None),  # one training window
+    (41, 0, None),
     (220, 0, None),  # the 40 scored rows are one window
     (221, 2, "the 39 rows after train_rows 221 are fewer than window 40"),
 ])
@@ -835,7 +842,8 @@ def test_interrupted_grid_keeps_every_finished_cell(tmp_path, sine_csv, monkeypa
     ("look_backs=16,176", "look-back 176: the train split has 182 rows, fewer than one "
                           "184-row window"),
     ("horizon=26", "look-back 16: the val split has 41 rows, fewer than one 42-row window"),
-], ids=["look_backs=16,176", "horizon=26"])
+    ("data=missing.csv", "No such file or directory: 'missing.csv'"),
+], ids=["look_backs=16,176", "horizon=26", "data=missing.csv"])
 def test_grid_refuses_an_unwindowable_look_back_before_any_cell(tmp_path, sine_csv, capsys,
                                                                 monkeypatch, override, message):
     cells = []
@@ -847,7 +855,20 @@ def test_grid_refuses_an_unwindowable_look_back_before_any_cell(tmp_path, sine_c
                  "--set", override]) == 3
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
-    assert not cells and not list(out.rglob("grid.csv"))
+    assert not cells and not list(out.rglob("*"))  # no config.json, no run directory
+
+
+def test_grid_resume_refuses_a_changed_config_before_reading_data(tmp_path, sine_csv, capsys):
+    argv = _resume_finished_grid(tmp_path, sine_csv)
+    run_dir = Path(argv[-1])
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    # 3 if the missing data file were opened first
+    assert main(argv + ["--set", f"data={tmp_path / 'missing.csv'}", "--set", "patience=3"]) == 2
+    err = capsys.readouterr().err
+    assert "--resume config differs" in err and "patience" in err
+    assert len(err.strip().splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 def test_no_command_leaves_a_tmp_file(tmp_path, sine_csv):
@@ -1297,12 +1318,53 @@ def test_detect_fits_exactly(tmp_path, synth_stream, monkeypatch):
     model_cfg, layer = load_checkpoint(run_dir / "model.ckpt")  # refuses non-finite weights
     frame = load_csv(values, False)
     values = standardize(frame, (0, 375))[0].values
-    n_train = 375 - 80 + 1 - (375 - 80 + 1) // 5
-    want, _ = training.exact_fit(model_cfg,
-                                 reconstruction_windows(values[: n_train + 79], 80, 4),
-                                 reconstruction_windows(values[n_train:375], 80, 4))
+    want = training.exact_fit(model_cfg, reconstruction_windows(values[:375], 80, 4))
     assert np.array_equal(layer.weight, want.weight) and np.array_equal(layer.bias, want.bias)
     assert 0.0 < json.loads((run_dir / "report.json").read_text())["f1"] <= 1.0
+
+
+CONTRACT_ROWS = 300
+
+
+@pytest.fixture(scope="module")
+def contract_stream(tmp_path_factory):
+    """A CONTRACT_ROWS-row synth stream and a window-40, factor-4 checkpoint."""
+    root = tmp_path_factory.mktemp("contract")
+    series, _ = synth_anomaly(CONTRACT_ROWS, 1, 0.05, 4)
+    write_series_csv(root / "stream.csv", series.values)
+    return root / "stream.csv", _recon_checkpoint(root, 40, 4, 1)
+
+
+@pytest.mark.parametrize("train_first", [True, False], ids=["train-first", "checkpoint"])
+@settings(max_examples=30, deadline=None)
+@given(train_rows=st.integers(-2, CONTRACT_ROWS + 2),
+       window=st.none() | st.sampled_from([40, 80]) | st.integers(-2, 160),
+       factor=st.none() | st.sampled_from([4]) | st.integers(-1, 9),
+       positives=st.lists(st.integers(0, CONTRACT_ROWS - 1), max_size=6))
+def test_detect_keeps_its_exit_contract_over_its_range_keys(
+        contract_stream, train_first, train_rows, window, factor, positives):
+    stream, ckpt = contract_stream
+    labels = np.zeros(CONTRACT_ROWS, dtype=int)
+    labels[positives] = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_labels_csv(tmp / "labels.csv", labels)
+        given = {k: v for k, v in (("window", window), ("factor", factor)) if v is not None}
+        cfg = write_config(tmp, "d.cfg", data=stream, labels=tmp / "labels.csv",
+                           train_rows=train_rows, **given)
+        out = tmp / "runs"
+        flags = ["--train-first"] if train_first else ["--checkpoint", str(ckpt)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["detect", "--config", str(cfg), "--out", str(out), *flags])
+        assert code in (0, 2, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
+            assert not list(out.rglob("*"))  # no run directory
+        else:
+            (run_dir,) = out.iterdir()
+            written = ["model.ckpt", "report.json"] if train_first else ["report.json"]
+            assert sorted(p.name for p in run_dir.iterdir()) == written
 
 
 def test_detect_fits_a_constant_channel(tmp_path, synth_stream):

@@ -596,22 +596,21 @@ def _whole_set_gradient(cfg, windows, layer):
 @pytest.mark.parametrize("name", WHOLE_WINDOW)
 def test_exact_fit_solves_the_normal_equations(name):
     cfg, windows, _ = _geometry(name)
-    want = _least_squares_layer(cfg, training.validation_statistics(cfg, windows, None))
-    layer, history = training.exact_fit(cfg, windows, windows)
+    stats = training.validation_statistics(cfg, windows, None)
+    want = _least_squares_layer(cfg, stats)
+    layer = training.exact_fit(cfg, windows)
     scale = max(np.abs(want.weight).max(), np.abs(want.bias).max())
     assert np.abs(layer.weight - want.weight).max() <= 1e-9 * scale
     assert np.abs(layer.bias - want.bias).max() <= 1e-9 * scale
-    assert len(history) == 1 and history[0].epoch == 1 and history[0].improved
-    assert restored_epoch(history) is history[0]
-    assert (history[0].val_mse, history[0].val_mae) == evaluate(cfg, layer, windows)
+    # the statistics' quadratic form scores the solution as a direct loss pass does
     whole, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, layer)
-    assert abs(history[0].train_mse - whole) <= 1e-12 * whole
+    assert abs(stats.mse(layer) - whole) <= 1e-12 * whole
 
 
 @pytest.mark.parametrize("name", WHOLE_WINDOW)
 def test_exact_fit_zeroes_the_whole_set_gradient(name):
     cfg, windows, _ = _geometry(name)
-    layer, _ = training.exact_fit(cfg, windows, windows)
+    layer = training.exact_fit(cfg, windows)
     zero = ComplexLinear(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
     assert _whole_set_gradient(cfg, windows, layer) <= 1e-10 * _whole_set_gradient(
         cfg, windows, zero)
@@ -620,11 +619,12 @@ def test_exact_fit_zeroes_the_whole_set_gradient(name):
 @pytest.mark.parametrize("name", ["detect", "backcast+forecast", "split"])
 def test_exact_train_mse_is_at_most_adams(name):
     cfg, windows, spec = _fit_case(name)
-    _, (epoch,) = training.exact_fit(cfg, windows, windows)
+    exact = training.exact_fit(cfg, windows)
     adam, history = train(cfg, init_params(cfg, spec.seed), windows, windows, spec)
+    exact_mse, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, exact)
     adam_mse, _, _ = model.model_backward(*windows.batch(slice(None)), cfg, adam)
-    assert epoch.train_mse <= adam_mse
-    assert epoch.train_mse <= min(h.train_mse for h in history)
+    assert exact_mse <= adam_mse
+    assert exact_mse <= min(h.train_mse for h in history)
 
 
 def _min_norm_layer(cfg, windows):
@@ -652,18 +652,18 @@ def test_exact_fit_of_a_singular_problem_is_finite_and_min_norm(case):
     else:  # 3 rows of z~ against 6 complex unknowns per output bin
         cfg = ModelConfig.for_reconstruction(40, 4, 1)
         windows = reconstruction_windows(rng.normal(size=(42, 1)), 40, 4)
-    layer, (epoch,) = training.exact_fit(cfg, windows, windows)
+    layer = training.exact_fit(cfg, windows)
     assert np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()
-    assert math.isfinite(epoch.train_mse) and math.isfinite(epoch.val_mse)
+    assert all(map(math.isfinite, evaluate(cfg, layer, windows)))
     want = _min_norm_layer(cfg, windows)
     got = np.concatenate((layer.bias[None], layer.weight))
     assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_exact_fit_refuses_forecast_only_supervision():
-    cfg, windows, steps = _geometry("tail-forecast-only")
+    cfg, windows, _ = _geometry("tail-forecast-only")
     with pytest.raises(InvalidArgumentError, match="forecast-only supervision needs"):
-        training.exact_fit(cfg, windows, windows, steps)
+        training.exact_fit(cfg, windows)
 
 
 def test_exact_fit_refuses_non_finite_normal_equations():
@@ -672,7 +672,7 @@ def test_exact_fit_refuses_non_finite_normal_equations():
     targets[4, 2, 1] = np.inf
     with pytest.raises(TrainingDivergedError, match="not finite"):
         with np.errstate(invalid="ignore"):  # the inf target's spectrum holds inf - inf
-            training.exact_fit(cfg, ArrayWindows(windows.inputs, targets), windows)
+            training.exact_fit(cfg, ArrayWindows(windows.inputs, targets))
 
 
 def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
@@ -688,19 +688,18 @@ def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
         threading.current_thread()) or bins(x3, cfg))
     monkeypatch.setattr(model, "_spectral_pass", lambda *args: spectral.append(1) or
                         spectral_pass(*args))
+    scored = _counted(monkeypatch, "evaluate")
     results = []
     for idle in (False, True):
         monkeypatch.setattr(model, "_cpu_idle", lambda: idle)
         threads.clear()
-        results.append(training.exact_fit(cfg, windows, windows))
-        # one pass over the training windows, for the statistics, and one over
-        # the val windows, for `evaluate`: 2 + 1 parts each
-        assert len(threads) == 2 * 3 and not spectral
+        results.append(training.exact_fit(cfg, windows))
+        # one statistics pass over the windows, in 2 + 1 parts, and no scoring
+        assert len(threads) == 3 and not spectral and not scored
         assert (set(threads) != {threading.main_thread()}) is idle
-    (serial, serial_history), (split, split_history) = results
+    serial, split = results
     assert np.array_equal(serial.weight, split.weight)
     assert np.array_equal(serial.bias, split.bias)
-    assert serial_history == split_history
 
 
 # --- what a cell's seeds share ----------------------------------------------------
