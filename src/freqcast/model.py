@@ -572,13 +572,10 @@ def param_count(cfg: ModelConfig) -> tuple[int, int]:
 
 
 def pack_params(layer: ComplexLinear) -> np.ndarray:
-    """Flatten to float64: W row-major as interleaved (re, im), then b."""
-    return np.concatenate(
-        [
-            np.ascontiguousarray(layer.weight).ravel().view(np.float64),
-            np.ascontiguousarray(layer.bias).view(np.float64),
-        ]
-    )
+    """Flatten to a new float64 vector: W row-major as interleaved (re, im), then b,
+    taken as complex128 first. `train` steps this layout and FQCKPT01 stores it."""
+    return np.concatenate([np.asarray(layer.weight, np.complex128).ravel(),
+                           np.asarray(layer.bias, np.complex128)]).view(np.float64)
 
 
 def unpack_params(theta: np.ndarray, cfg: ModelConfig) -> ComplexLinear:
@@ -597,8 +594,7 @@ def unpack_params(theta: np.ndarray, cfg: ModelConfig) -> ComplexLinear:
 #   8-byte magic  FQCKPT01
 #   8 x int64     input_len, output_len, period, harmonic, channels,
 #                 supervision code (0 forecast, 1 backcast+forecast), n_in, n_out
-#   W             n_in*n_out complex entries, row-major, (re, im) float64 pairs
-#   b             n_out complex entries, (re, im) float64 pairs
+#   theta         pack_params(layer) as float64: W row-major, then b, (re, im) pairs
 CHECKPOINT_MAGIC = b"FQCKPT01"
 _SUP_CODE = {Supervision.FORECAST_ONLY: 0, Supervision.BACKCAST_AND_FORECAST: 1}
 _SUP_FROM_CODE = {v: k for k, v in _SUP_CODE.items()}
@@ -620,8 +616,7 @@ def save_checkpoint(path, cfg: ModelConfig, layer: ComplexLinear) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(header)
-        fh.write(np.ascontiguousarray(layer.weight, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(layer.bias, dtype="<c16").tobytes())
+        fh.write(pack_params(layer).astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ComplexLinear]:
@@ -642,12 +637,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ComplexLinear]:
             f"{path}: stored layer dims {ints[6]}x{ints[7]} disagree with the "
             f"config-derived {cfg.n_in}x{cfg.n_out}"
         )
-    need = 72 + 16 * (cfg.n_in * cfg.n_out + cfg.n_out)
+    need = 72 + 8 * param_count(cfg)[1]
     if len(raw) != need:
         raise InvalidValueError(f"{path}: expected {need} bytes, found {len(raw)}")
-    flat = np.frombuffer(raw[72:], dtype="<c16")
-    w = flat[: cfg.n_in * cfg.n_out].reshape(cfg.n_in, cfg.n_out).astype(np.complex128)
-    b = flat[cfg.n_in * cfg.n_out :].astype(np.complex128)
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+    theta = np.frombuffer(raw[72:], dtype="<f8").astype(np.float64)
+    if not np.isfinite(theta).all():
         raise InvalidValueError(f"{path}: stored weights or bias are not all finite")
-    return cfg, ComplexLinear(w, b)
+    return cfg, unpack_params(theta, cfg)

@@ -34,7 +34,9 @@ from .model import (
     init_params,
     model_backward,
     model_forward,  # not called here; the benchmark trace wraps training.model_forward
+    pack_params,
     param_count,
+    unpack_params,
 )
 
 # relative val-MSE improvement below this counts as no improvement
@@ -262,13 +264,11 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
     if val_stats is None and spec.max_epochs > 1:
         val_stats = validation_statistics(cfg, val_windows, eval_steps)
     rng = np.random.default_rng(spec.seed)
-    # the layer as [b; W], the order of model_backward's gradient; Adam works
-    # elementwise, so the order of theta does not change a bit
-    stacked = np.concatenate((layer.bias[None], layer.weight), dtype=np.complex128)
-    theta = stacked.reshape(-1).view(np.float64)  # Adam steps theta in place, stacked tracks it
-    view = ComplexLinear(stacked[1:], stacked[0])
-    grad = np.empty_like(stacked)  # each batch's [db; dW]
-    grads = grad.reshape(-1).view(np.float64)
+    # Adam steps theta in place; view aliases it, and grad aliases grads
+    theta = pack_params(layer)
+    view = unpack_params(theta, cfg)
+    grads = np.empty_like(theta)  # each batch's gradient, in theta's layout
+    grad = unpack_params(grads, cfg)
     adam = AdamState.zeros(theta.size)
     n = len(train_windows)
 
@@ -283,7 +283,8 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             idx = order[lo : lo + spec.batch_size]
             # neither the batch nor (dW, db) outlives this statement, so
             # the next batch is gathered into the memory they free
-            loss, grad[1:], grad[0] = model_backward(*train_windows.batch(idx), cfg, view)
+            loss, grad.weight[...], grad.bias[...] = model_backward(
+                *train_windows.batch(idx), cfg, view)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}"
@@ -307,8 +308,7 @@ def train(cfg: ModelConfig, layer: ComplexLinear, train_windows, val_windows,
             stale += 1
             if stale >= spec.patience:
                 break
-    best_stacked = best_theta.view(np.complex128).reshape(stacked.shape)
-    best = ComplexLinear(best_stacked[1:].copy(), best_stacked[0].copy())
+    best = unpack_params(best_theta, cfg)
     if val_stats is not None:
         restored = restored_epoch(history)
         val_mse, val_mae = evaluate(cfg, best, val_windows, eval_steps)
@@ -337,6 +337,8 @@ def exact_fit(cfg: ModelConfig, windows) -> ComplexLinear:
     if cfg.target_rows < cfg.output_len:
         raise InvalidArgumentError("the exact fit solves the whole output window; "
                                    "forecast-only supervision needs `train`")
+    if len(windows) == 0:
+        raise InvalidArgumentError("the exact fit needs at least one training window")
     stats = validation_statistics(cfg, windows, None)
     gram, cross = stats.gram, stats.cross
     if not (np.isfinite(gram).all() and np.isfinite(cross).all()):

@@ -214,6 +214,8 @@ def test_prf1_cases():
     assert acc == 0.5
     p, r, f1, acc = prf1(np.array([1, 1, 0, 0], bool), np.array([1, 0, 1, 0], bool))
     assert (p, r, f1, acc) == (0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(ShapeError, match=r"pred \(3,\) and labels \(4,\) differ"):
+        prf1(np.zeros(3, bool), labels)
 
 
 def test_select_threshold_simple():
@@ -228,6 +230,11 @@ def test_select_threshold_simple():
 def test_select_threshold_requires_positives():
     with pytest.raises(InvalidArgumentError):
         select_threshold(np.array([0.1, 0.2]), np.zeros(2, bool))
+
+
+def test_select_threshold_refuses_mismatched_shapes():
+    with pytest.raises(ShapeError, match=r"scores \(3,\) and labels \(2,\) differ"):
+        select_threshold(np.array([0.1, 0.2, 0.3]), np.ones(2, bool))
 
 
 def test_select_threshold_isolates_top_k():

@@ -1161,6 +1161,12 @@ def _train_run(tmp_path, sine_csv):
     return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
 
 
+def _train_without_period(tmp_path, sine_csv):
+    cfg = write_config(tmp_path, "t.cfg", data=sine_csv, timestamp_column="false",
+                       input_len=32, horizon=8)
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "r")]
+
+
 def _detect_run(tmp_path, sine_csv):
     return _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "labels.csv")
 
@@ -1232,6 +1238,7 @@ def _plus(make_argv, *extra):
     (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
     # refused before the fit, so no model.ckpt is left behind
     (_detect_no_scored_positive, 3, "the 110 scored rows after train_rows 150 hold no positive"),
+    (_train_without_period, 2, "either 'profile' or 'period' must be set"),
     pytest.param(_plus(_train_run, "--set", "max_epochs=x"), 2,
                  "key 'max_epochs': expected an integer, got 'x'", id="max_epochs=x"),
     pytest.param(_plus(_train_run, "--set", "learning_rate=abc"), 2,

@@ -16,6 +16,7 @@ from freqcast.anomaly import reconstruction_windows
 from freqcast.data import (
     ArrayWindows,
     DatasetProfile,
+    LabeledSeries,
     PROFILES,
     SeriesFrame,
     SplitRule,
@@ -78,6 +79,11 @@ def test_load_csv_errors(tmp_path):
     hole.write_text("a\n1\nnan\n")
     with pytest.raises(ParseError, match="non-finite"):
         load_csv(hole)
+
+    stamps_only = tmp_path / "stamps.csv"
+    stamps_only.write_text("date\n2020-01-01\n")
+    with pytest.raises(ParseError, match="need at least one value column beside the timestamp"):
+        load_csv(stamps_only, has_timestamp_column=True)
 
 
 @pytest.mark.parametrize("row, column, message", [
@@ -410,6 +416,13 @@ def test_standardize_uses_train_rows_only():
     assert not np.allclose(stats.mean, stats2.mean)
 
 
+@pytest.mark.parametrize("train_range", [(5, 5), (7, 3)])
+def test_standardize_refuses_an_empty_train_range(train_range):
+    frame = SeriesFrame(np.arange(20.0).reshape(10, 2), ["a", "b"])
+    with pytest.raises(InvalidArgumentError, match="empty train range"):
+        standardize(frame, train_range)
+
+
 def test_standardize_gives_a_tiny_scale_series_unit_std():
     # about 1e-300 per value: an absolute std floor would take it as constant
     values = np.ldexp(np.random.default_rng(1).normal(size=(400, 1)), -997)
@@ -604,6 +617,17 @@ def test_array_windows_interface():
     assert x.shape == (2, 8, 1) and t.shape == (2, 12, 1)
     with pytest.raises(ShapeError):
         ArrayWindows(inputs, np.ones((3, 12, 1)))
+
+
+@pytest.mark.parametrize("shape", [(12,), (2, 6, 1)])
+def test_array_windows_cut_refuses_rows_that_are_not_2d(shape):
+    with pytest.raises(ShapeError, match="rows must be 2-D"):
+        ArrayWindows.cut(np.zeros(shape), 4, slice(0, 2), slice(None))
+
+
+def test_labeled_series_needs_one_label_per_row():
+    with pytest.raises(ShapeError, match="3 labels for 4 timesteps"):
+        LabeledSeries(np.zeros((4, 1)), np.zeros(3, bool))
 
 
 # --- synthetic anomaly benchmark ------------------------------------------------

@@ -5,6 +5,7 @@ published benchmark settings."""
 
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -93,6 +94,17 @@ def test_rin_rejects_nonfinite_and_mismatched_channels():
     _, state = rin_normalize(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         rin_denormalize(np.zeros((4, 3)), state)
+
+
+def test_rin_rejects_wrong_rank_and_one_row():
+    with pytest.raises(ShapeError, match=r"expected \(L, C\) or \(B, L, C\)"):
+        rin_normalize(np.zeros(4))
+    with pytest.raises(ShapeError, match=r"expected \(L, C\) or \(B, L, C\)"):
+        rin_normalize(np.zeros((1, 2, 4, 1)))
+    with pytest.raises(InvalidLengthError, match="at least 2 timesteps"):
+        rin_normalize(np.zeros((1, 3)))
+    with pytest.raises(InvalidLengthError, match="at least 2 timesteps"):
+        rin_normalize(np.zeros((5, 1, 3)))
 
 
 # --- forward pipeline -----------------------------------------------------------
@@ -755,36 +767,42 @@ def test_import_and_help_start_no_thread():
     assert out.splitlines()[-1] == "1"
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
 def test_forked_child_computes_with_a_fresh_worker(split_log):
+    # model_backward's loss and gradient are among the passes compared
     cfg = ModelConfig.for_forecast(48, 16, 12, 2, 3)
     want = _all_passes(cfg, 8, 92)  # starts the worker in this process
-    assert set(split_log) != {threading.main_thread()}
-    read, write = os.pipe()
+    assert set(split_log) != {threading.main_thread()} and model._pool is not None
+    lock = model._pool_lock
     pid = os.fork()
-    if pid == 0:  # the child: report whether it repeats the parent's bits
-        ok = 0
+    if pid == 0:  # the child: exit 0 only if it repeats the parent's bits
+        status = 1
         try:
+            # the fork handler dropped the executor, whose thread the child lacks
+            assert model._pool is None and model._pool_lock is not lock
             _assert_same_bits(_all_passes(cfg, 8, 92), want)
-            ok = 1
+            assert model._pool is not None  # the child's own worker took the first halves
+            status = 0
         finally:
-            os.write(write, bytes([ok]))
-            os._exit(0)
-    os.close(write)
+            os._exit(status)
     deadline = time.monotonic() + 60
-    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+    while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
         if time.monotonic() > deadline:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
             pytest.fail("the forked child hung in a half batch")
         time.sleep(0.01)
-    assert os.read(read, 1) == b"\x01"
-    os.close(read)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_forecast_only_supervision_needs_a_horizon():
     with pytest.raises(InvalidArgumentError, match="positive horizon"):
         ModelConfig(16, 16, 4, 0, 1, Supervision.FORECAST_ONLY)
+
+
+def test_config_refuses_a_negative_harmonic():
+    with pytest.raises(InvalidArgumentError, match="harmonic must be >= 0, got -1"):
+        ModelConfig(16, 24, 4, -1, 1)
 
 
 # --- init and parameter accounting -------------------------------------------------
@@ -945,6 +963,45 @@ def test_pack_unpack_roundtrip():
     back = unpack_params(theta, cfg)
     assert np.array_equal(back.weight, layer.weight)
     assert np.array_equal(back.bias, layer.bias)
+
+
+def test_unpack_refuses_a_vector_of_the_wrong_length():
+    cfg = ModelConfig.for_forecast(16, 8, 4, 1, 2)
+    theta = pack_params(init_params(cfg, 0))
+    for wrong in (theta[:-1], np.append(theta, 0.0), theta.reshape(-1, 2)):
+        with pytest.raises(ShapeError, match=f"config needs {param_count(cfg)[1]}"):
+            unpack_params(wrong, cfg)
+
+
+def _layer_as(layer, kind):
+    """The layer in complex128, in complex64, or as its real part."""
+    if kind == "real":
+        return ComplexLinear(layer.weight.real.copy(), layer.bias.real.copy())
+    dtype = np.complex64 if kind == "complex64" else np.complex128
+    return ComplexLinear(layer.weight.astype(dtype), layer.bias.astype(dtype))
+
+
+@pytest.mark.parametrize("kind", ["complex128", "complex64", "real"])
+def test_checkpoint_bytes_match_a_hand_built_encoding(tmp_path, kind):
+    # FQCKPT01 spelled out here, so the writer and reader cannot drift together
+    cfg = ModelConfig.for_forecast(24, 8, 6, 1, 3, Supervision.FORECAST_ONLY)
+    layer = init_params(cfg, 43)
+    layer.bias[:] = np.arange(cfg.n_out) * (0.5 - 0.25j)
+    layer = _layer_as(layer, kind)
+    theta = pack_params(layer)
+    assert theta.dtype == np.float64 and theta.shape == (param_count(cfg)[1],)
+    assert np.array_equal(theta, pack_params(_layer_as(layer, "complex128")))
+    header = struct.pack("<8q", 24, 32, 6, 1, 3, 0, cfg.n_in, cfg.n_out)
+    want = (b"FQCKPT01" + header + layer.weight.astype("<c16").tobytes()
+            + layer.bias.astype("<c16").tobytes())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, layer)
+    assert path.read_bytes() == want
+    cfg2, layer2 = load_checkpoint(path)
+    assert cfg2 == cfg
+    assert layer2.weight.dtype == layer2.bias.dtype == np.complex128
+    assert np.array_equal(layer2.weight, layer.weight)
+    assert np.array_equal(layer2.bias, layer.bias)
 
 
 def test_checkpoint_roundtrip(tmp_path):

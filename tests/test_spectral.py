@@ -59,6 +59,13 @@ def test_rfft_rejects_bad_input():
         rfft([])
     with pytest.raises(InvalidValueError):
         rfft([1.0, np.nan, 0.0, 0.0])
+    with pytest.raises(ShapeError, match="1-D vector"):
+        rfft(np.zeros((2, 4)))
+
+
+def test_irfft_needs_a_spectrum():
+    with pytest.raises(ShapeError, match="expects a Spectrum"):
+        irfft(np.array([4.0, 0.0, 0.0]))
 
 
 def test_irfft_fixtures():
@@ -127,10 +134,14 @@ def test_base_frequency():
     assert base_frequency(90, 96) == 0
     with pytest.raises(InvalidArgumentError):
         base_frequency(480, 0)
+    with pytest.raises(InvalidArgumentError, match="window_len must be >= 1, got 0"):
+        base_frequency(0, 24)
 
 
 def test_cutoff_bins_values():
     assert cutoff_bins(720, 24, 2) == 72
+    with pytest.raises(InvalidArgumentError, match="harmonic must be >= 1, got 0"):
+        cutoff_bins(720, 24, 0)
     assert cutoff_bins(90, 96, 4) == 14
     assert cutoff_bins(90, 144, 5) == 15
 
