@@ -146,13 +146,14 @@ def load_csv(path, has_timestamp_column: bool = False) -> SeriesFrame:
     parse with `float` and be finite: the first cell that fails, row by row
     and left to right, raises ParseError naming its row and column (1-based,
     counting the header as row 1). A file that is not UTF-8, or that the CSV
-    reader refuses (a cell longer than its field limit), raises ParseError.
+    reader refuses (a cell longer than its field limit), raises ParseError;
+    a leading UTF-8 BOM is dropped, and one anywhere else is a cell's text.
     A plain file is parsed by NumPy in one pass (`_plain_values`); any other
     goes through the cell loop, which names the failing cell.
     """
     skip = int(has_timestamp_column)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -199,8 +200,9 @@ def load_labels(path, expected_len: int | None = None) -> np.ndarray:
 
     Blank lines are skipped and each line is stripped; the first line that is
     then neither 0 nor 1 raises ParseError naming it (1-based), and so does a
-    file that is not UTF-8. A file of nothing but "0\\n"/"1\\n" lines is parsed in
-    one pass (`_plain_labels`); any other goes through the line loop.
+    file that is not UTF-8. A leading UTF-8 BOM is dropped. A file of nothing
+    but "0\\n"/"1\\n" lines is parsed in one pass (`_plain_labels`); any other,
+    a BOM file included, goes through the line loop.
     """
     with open(path, "rb") as fh:
         labels = _plain_labels(fh.read())
@@ -228,7 +230,7 @@ def _parsed_labels(path) -> list[bool]:
     """The labels of the non-blank lines, each stripped line checked to be 0 or 1."""
     labels = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text:
@@ -443,6 +445,8 @@ def synth_anomaly(length: int = 4000, channels: int = 1, rate: float = 0.05,
         raise InvalidLengthError(f"need at least 100 timesteps, got {length}")
     if channels < 1:
         raise InvalidArgumentError(f"channels must be >= 1, got {channels}")
+    if length * channels > np.iinfo(np.intp).max // 8:  # NumPy refuses such a shape
+        raise InvalidArgumentError(f"{length} x {channels} values exceed the largest array")
     if not 0.0 <= rate <= 1.0:  # false for nan too
         raise InvalidArgumentError(f"rate must lie in [0, 1], got {rate}")
     if seed < 0:

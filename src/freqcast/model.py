@@ -32,8 +32,9 @@ supervision's loss pass take z~:
   z, the real view of z~, and u = t - mean over those rows, and V =
   `_real_fold` folds W~ into S = `_tail_synthesis`, which maps the layer's
   bins to the rows. The residual there is r = z V - u, and [db; dW] =
-  (conj(z~)^T (2 / m) r) S^H: real GEMMs, no FFT after the input's rfft,
-  and no Nyquist fold, since S's Nyquist row is real. `training.evaluate`
+  conj(z~)^T (2 / m) r S^H = conj(S (2 / m) r^T z~)^T, read through S
+  itself: GEMMs, no FFT after the input's rfft, and no Nyquist fold, since
+  S's Nyquist row is real. `training.evaluate`
   and `training.validation_statistics` take the scored rows through the
   same z and u, with no loss pass. `training.exact_fit` solves one window
   set's statistics and returns the layer, with no loss pass either.
@@ -248,7 +249,7 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     bins or the residual of the loss pass; "spectrum", the rows' squares and
     then their spectrum, whose first 1 + n_in bins, DC overwritten by std,
     are z~ (`_scaled_bins`); "target", the target's spectrum, whose layer
-    bins are B, or u and then z^T times the tail residual.
+    bins are B, or u and then r^T z~ of the tail residual r.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize // 8
     buf = getattr(_buffers, name, None)
@@ -382,8 +383,8 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
     the layer reaches the Nyquist bin its row is the real cos(pi t) / n, since
     irfft ignores that bin's imaginary part. Cached per (cfg, last), so the
     table is read-only. Folded into the layer by `_real_fold` wherever rows
-    are scored through `_tail_rows`, and transposed by `_tail_adjoint` for
-    forecast-only `model_backward`.
+    are scored through `_tail_rows`, and applied to the residual's
+    contraction with z for forecast-only `model_backward` (`_tail_pass`).
     """
     n = cfg.output_len
     t = np.arange(n - last, n)
@@ -393,19 +394,6 @@ def _tail_synthesis(cfg: ModelConfig, last: int) -> np.ndarray:
         synth[-1] = np.where(t % 2, -1.0, 1.0) / n
     synth.flags.writeable = False
     return synth
-
-
-@functools.lru_cache(maxsize=16)
-def _tail_adjoint(cfg: ModelConfig, last: int) -> np.ndarray:
-    """[S^H; -i S^H] as (2 last, 2 n_out) reals: [P, Q] @ it, viewed complex, is (P - i Q) @ S^H.
-
-    For z from `_tail_rows` and real rows r, (z.T @ r).reshape(-1, 2 last) is
-    [Re z~^T r, Im z~^T r], so times this table it is conj(z~)^T r S^H.
-    """
-    adjoint = _tail_synthesis(cfg, last).conj().T.copy()
-    adjoint = np.concatenate((adjoint, -1j * adjoint)).view(np.float64)
-    adjoint.flags.writeable = False
-    return adjoint
 
 
 def _real_fold(layer: ComplexLinear, synth) -> np.ndarray:
@@ -458,18 +446,19 @@ def _tail_pass(x3, t3, cfg: ModelConfig, fold, m: int, grad) -> float:
 
     fold is V, the layer folded into the forecast rows' synthesis
     (`_real_fold`); the residual is r = z V - u over the rows of `_tail_rows`.
-    Writes [db; dW] = (conj(z~)^T (2 / m) r) S^H into grad, an
-    (n_in + 1, n_out) complex array.
+    Writes [db; dW] = conj(z~)^T (2 / m) r S^H = conj(S (2 / m) r^T z~)^T into
+    grad, an (n_in + 1, n_out) complex array.
     """
     last = cfg.target_rows
     z, u = _tail_rows(x3, t3, cfg, last)
     r = _tail_residual(z, u, fold)
     loss = float(np.vdot(r, r)) / m
     r *= 2.0 / m
-    # (conj(z~)^T r) S^H, fewer flops than conj(z~)^T (r S^H) while batch*channels > rows;
+    # S (r^T z~), fewer flops than (S r^T) z~ while batch*channels > rows;
     # u is spent, so its "target" buffer is free
-    zr = np.matmul(z.T, r, out=_scratch("target", (z.shape[1], last)))
-    np.matmul(zr.reshape(-1, 2 * last), _tail_adjoint(cfg, last), out=grad.view(np.float64))
+    rz = np.matmul(r.T, z, out=_scratch("target", (last, z.shape[1]))).view(np.complex128)
+    np.matmul(_tail_synthesis(cfg, last), rz, out=grad.T)
+    np.conjugate(grad, out=grad)
     return loss
 
 
@@ -515,11 +504,14 @@ def _spectral_pass(x3, t3, cfg: ModelConfig, stacked, m: int, grad) -> float:
     return energy / (n * m)
 
 
-def _checked_pair(x, target, cfg: ModelConfig):
-    """(x3, t3): an input and a target batch as `model_backward` accepts them."""
+def _checked_pair(x, target, cfg: ModelConfig, rows: int):
+    """(x3, t3): an input batch and its `rows`-row target batch, checked as
+    `model_backward` and every scoring pass accept them: the target's rows
+    are the last `rows` of the output window."""
+    if rows > cfg.output_len:
+        raise ShapeError(f"{rows} target rows exceed the {cfg.output_len}-row output window")
     x3, _ = _as_batch(x, cfg.input_len, cfg.channels, "input")
-    t3, _ = _as_batch(target, cfg.target_rows, cfg.channels,
-                      f"{cfg.supervision.value} target")
+    t3, _ = _as_batch(target, rows, cfg.channels, f"{cfg.supervision.value} target")
     if t3.shape[0] != x3.shape[0]:
         raise ShapeError(f"{t3.shape[0]} target windows for {x3.shape[0]} input windows")
     _check_finite(x3)
@@ -536,7 +528,7 @@ def model_backward(x, target, cfg: ModelConfig, layer: ComplexLinear):
     losses and gradients.
     """
     _check_layer(cfg, layer)
-    x3, t3 = _checked_pair(x, target, cfg)
+    x3, t3 = _checked_pair(x, target, cfg, cfg.target_rows)
     if cfg.target_rows < cfg.output_len:
         loss_pass, operand = _tail_pass, _real_fold(layer, _tail_synthesis(cfg, cfg.target_rows))
     else:

@@ -155,16 +155,14 @@ def _scored_rows(windows, eval_steps: int | None) -> int:
 def _scored_parts(cfg: ModelConfig, windows, k: int, sums):
     """sums(z, u) of `model._tail_rows` for each part of the windows, in window order.
 
-    The windows go EVAL_BATCH at a time through the model's input checks; a
-    large slice is taken as two half batches, as the model takes it, so the
-    parts come in one order wherever a half ran.
+    The windows go EVAL_BATCH at a time through the model's batch checks
+    (`model._checked_pair`); a large slice is taken as two half batches, as
+    the model takes it, so the parts come in one order wherever a half ran.
     """
+    rows = windows.targets.shape[1]
     for lo in range(0, len(windows), EVAL_BATCH):
-        x, t = windows.batch(slice(lo, lo + EVAL_BATCH))
-        x3, _ = mdl._as_batch(x, cfg.input_len, cfg.channels, "input")
-        mdl._check_finite(x3)
-
-        yield from mdl._halves(lambda w: sums(*mdl._tail_rows(x3[w], t[w], cfg, k)),
+        x3, t3 = mdl._checked_pair(*windows.batch(slice(lo, lo + EVAL_BATCH)), cfg, rows)
+        yield from mdl._halves(lambda w: sums(*mdl._tail_rows(x3[w], t3[w], cfg, k)),
                                cfg, len(x3))
 
 

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 from freqcast import model, training
 from freqcast import data as data_module
 from freqcast.anomaly import reconstruction_windows
-from freqcast.cli import _train_spec, _write_scores_csv, main, read_config_file, validate_config
+from freqcast.cli import (
+    SCHEMAS,
+    _train_spec,
+    _write_scores_csv,
+    main,
+    read_config_file,
+    validate_config,
+)
 from freqcast.data import (
     DatasetProfile,
     SplitRule,
@@ -1235,6 +1242,13 @@ def _plus(make_argv, *extra):
     pytest.param(lambda tmp_path, sine_csv: ["synth", "--out", str(tmp_path / "r"), "--set",
                                              "length=100000000000000000"], 3,
                  "error: out of memory (Unable to allocate", id="synth length=10^17"),
+    # shapes NumPy refuses outright, found by test_commands_keep_their_exit_contract
+    pytest.param(lambda tmp_path, sine_csv: ["synth", "--out", str(tmp_path / "r"), "--set",
+                                             "length=100", "--set", f"channels={2**63}"], 2,
+                 f"100 x {2**63} values exceed the largest array", id="synth channels=2^63"),
+    pytest.param(lambda tmp_path, sine_csv: ["synth", "--out", str(tmp_path / "r"), "--set",
+                                             f"length={2**63}"], 2,
+                 f"{2**63} x 1 values exceed the largest array", id="synth length=2^63"),
     (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
     # refused before the fit, so no model.ckpt is left behind
     (_detect_no_scored_positive, 3, "the 110 scored rows after train_rows 150 hold no positive"),
@@ -1305,6 +1319,25 @@ def test_detect_label_column_matches_labels_file(tmp_path, sine_csv):
     from_file, from_column = run_dirs(tmp_path / "r")
     assert (from_file / "report.json").read_bytes() \
         == (from_column / "report.json").read_bytes()
+
+
+def test_detect_drops_a_leading_bom_of_data_and_labels(tmp_path, sine_csv):
+    # a BOM-prefixed labels file, and a BOM-prefixed CSV whose first column is
+    # the labels, give the report of the plain labels file
+    argv = _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "labels.csv")
+    assert main(argv) == 0
+    labels = tmp_path / "labels.csv"
+    bom_labels = tmp_path / "bom_labels.csv"
+    bom_labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())
+    assert main(_detect_argv(tmp_path, sine_csv, "--train-first", labels=bom_labels)) == 0
+    labeled = tmp_path / "labeled.csv"
+    write_series_csv(labeled, np.hstack([np.loadtxt(labels)[:, None],
+                                         load_csv(sine_csv, False).values]),
+                     ["label", "a", "b"])
+    labeled.write_bytes(b"\xef\xbb\xbf" + labeled.read_bytes())
+    assert main(_detect_argv(tmp_path, labeled, "--train-first", label_column="label")) == 0
+    reports = {(run_dir / "report.json").read_bytes() for run_dir in run_dirs(tmp_path / "r")}
+    assert len(run_dirs(tmp_path / "r")) == 3 and len(reports) == 1
 
 
 # --- detect's exact fit ------------------------------------------------------------
@@ -1434,3 +1467,141 @@ def test_unknown_key_is_named_by_repr(tmp_path, sine_csv, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "unknown key(s) for train: 'in\\x01put_len'" in err and "\x01" not in err
+
+
+# --- the exit contract of train, grid, eval and synth ------------------------------
+
+PROMISED = {
+    "train": ["history.csv", "metrics.json", "model.ckpt"],
+    "grid": ["config.json", "grid.csv", "selected.json"],
+    "eval": ["metrics.json"],
+    "synth": ["synth_labels.csv", "synth_meta.json", "synth_values.csv"],
+}
+# what any key may be set to: wrong types, out-of-range, huge and tiny numbers,
+# list syntax, NUL and control characters
+ODD_VALUES = ["", "x", "-1", "0", "1.5", "true", "none", "nan", "inf", "1e300", "1e-300",
+              "5e-324", str(2**63), str(10**17), "16,16", ",", "forecast", "a\0b", "\x01\x7f"]
+
+
+def _odd(draw):
+    """Whether to spoil one part of a run's input: one time in four, so that
+    about a third of the runs get clean input."""
+    return draw(st.integers(0, 3)) == 0
+
+
+def _contract_keys(draw, command):
+    """A config of `command` that runs in a fraction of a second on CONTRACT_ROWS rows."""
+    if command == "synth":
+        return {"length": draw(st.integers(100, 400)), "channels": draw(st.integers(1, 3)),
+                "rate": draw(st.sampled_from(["0", "0.05", "1"])), "seed": draw(st.integers(0, 9))}
+    keys = {"data": "data.csv", "timestamp_column": "false", "period": 24}
+    if command == "eval":
+        return {**keys, "checkpoint": "model.ckpt"}
+    keys.update(horizon=draw(st.sampled_from([4, 8])), max_epochs=draw(st.integers(1, 2)),
+                batch_size=draw(st.sampled_from([16, 64])),
+                learning_rate=draw(st.sampled_from(["5e-4", "0.05"])))
+    supervisions = [s.value for s in Supervision]
+    if command == "train":
+        keys.update(input_len=draw(st.sampled_from([16, 32])),
+                    seeds=draw(st.sampled_from(["0", "0,1"])),
+                    harmonic=draw(st.sampled_from(["0", "1", "none"])),
+                    supervision=draw(st.sampled_from(supervisions)))
+    else:
+        keys.update(look_backs=draw(st.sampled_from(["16", "32", "16,32"])), seeds="0",
+                    harmonics=draw(st.sampled_from(["1", "none", "1,none"])),
+                    supervisions=draw(st.sampled_from([*supervisions, ",".join(supervisions)])))
+    return keys
+
+
+@st.composite
+def _contract_config(draw, command, tmp):
+    """The bytes of a config file of `command`, its paths under `tmp`: valid, or
+    with keys set to odd values, left out or unknown, or with a corrupt line."""
+    keys = {k: str(v) for k, v in _contract_keys(draw, command).items()}
+    for key in ("data", "checkpoint"):
+        if key in keys:
+            keys[key] = str(tmp / keys[key])
+    if _odd(draw):
+        keys_or_unknown = st.sampled_from(sorted(SCHEMAS[command]) + ["bogus"])
+        for key in draw(st.lists(keys_or_unknown, min_size=1, max_size=2)):
+            value = draw(st.sampled_from([None, *ODD_VALUES]))
+            if key == "max_epochs" and (value is None or value.isdigit()):
+                continue  # 50 epochs by default, or 10^17, would take minutes
+            if value is None:
+                keys.pop(key, None)
+            else:
+                keys[key] = value
+    lines = [f"{k} = {v}".encode() for k, v in keys.items()]
+    if _odd(draw):
+        corrupt = draw(st.sampled_from([b"\xff = 1", b"no equals sign", b"\0", lines[0]]))
+        lines.insert(draw(st.integers(0, len(lines))), corrupt)
+    head = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return head + b"\n".join(lines) + b"\n"
+
+
+@st.composite
+def _contract_data(draw):
+    """The bytes of a data CSV of CONTRACT_ROWS rows at some scale, or of 0 to 2
+    rows, or with a corrupt line; and its channel count."""
+    rows = draw(st.integers(0, 2)) if _odd(draw) else CONTRACT_ROWS
+    channels = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300, 5e-324]))
+    t = np.arange(rows)[:, None]
+    values = scale * (np.sin(2 * np.pi * t / 24 + np.arange(channels))
+                      + 0.1 * np.cos(2 * np.pi * t / 7))
+    lines = [",".join(f"c{i}" for i in range(channels)).encode()]
+    lines += [",".join(map(repr, row)).encode() for row in values.tolist()]
+    if _odd(draw):
+        line = draw(st.integers(0, len(lines) - 1))
+        corrupt = draw(st.sampled_from([b",1", b"\0", b"\xff", b"\n", b"x,", b"nan,", b"\x01"]))
+        lines[line] = lines[line] + corrupt if line % 2 else corrupt + lines[line]
+    head = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return head + b"\n".join(lines) + b"\n", channels
+
+
+@st.composite
+def _contract_checkpoint(draw, channels):
+    """The bytes of an eval checkpoint: a forecast model of the data's `channels`,
+    maybe with huge weights; or of other channels, truncated, or not a checkpoint."""
+    odd = _odd(draw)
+    cfg = ModelConfig.for_forecast(
+        draw(st.sampled_from([16, 32])), draw(st.sampled_from([4, 8])), 24,
+        draw(st.integers(0, 2)), draw(st.sampled_from([1, 3])) if odd else channels,
+        draw(st.sampled_from(list(Supervision))))
+    layer = init_params(cfg, 0)
+    layer.weight *= draw(st.sampled_from([1.0, 1e300]))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(Path(tmp) / "m.ckpt", cfg, layer)
+        raw = (Path(tmp) / "m.ckpt").read_bytes()
+    edit = draw(st.sampled_from([None, "truncate", "garbage"])) if odd else None
+    if edit == "truncate":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif edit == "garbage":
+        raw = draw(st.binary(max_size=80))
+    return raw
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "eval", "synth"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_commands_keep_their_exit_contract(command, data):
+    # exit 0, 2 or 3; a nonzero exit prints one stderr line and leaves no run
+    # directory, and exit 0 writes every file the command promises
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csv_bytes, channels = data.draw(_contract_data())
+        (tmp / "data.csv").write_bytes(csv_bytes)
+        if command == "eval":
+            (tmp / "model.ckpt").write_bytes(data.draw(_contract_checkpoint(channels)))
+        (tmp / "run.cfg").write_bytes(data.draw(_contract_config(command, tmp)))
+        out = tmp / "runs"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(tmp / "run.cfg"), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
+            assert not out.exists() or not list(out.rglob("*"))  # no run directory
+        else:
+            (run_dir,) = out.iterdir()
+            assert sorted(p.name for p in run_dir.iterdir()) == PROMISED[command]

@@ -157,6 +157,24 @@ def test_load_csv_refuses_non_utf8_text(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, stamped, outcome", [
+    ("\ufeffa,b\n1,2\n", False, (["a", "b"], [[1.0, 2.0]])),  # the one-pass parse
+    ('\ufeffa,b\n1,"2"\n', False, (["a", "b"], [[1.0, 2.0]])),  # the cell loop
+    ("\ufefft,a\n0,1\n", True, (["a"], [[1.0]])),
+    ("a,\ufeffb\n1,2\n", False, (["a", "\ufeffb"], [[1.0, 2.0]])),  # not at the start
+    ("a,b\n\ufeff1,2\n", False, "row 2, column 1: could not parse '\\ufeff1' as a number"),
+])
+def test_load_csv_drops_only_a_leading_bom(tmp_path, text, stamped, outcome):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode())
+    try:
+        frame = load_csv(path, stamped)
+    except ParseError as exc:
+        assert isinstance(outcome, str) and outcome in str(exc), exc
+    else:
+        assert (frame.channel_names, frame.values.tolist()) == outcome
+
+
 def test_plain_csv_takes_the_one_pass_parse(tmp_path):
     values = np.random.default_rng(2).normal(size=(50, 3))
     path = tmp_path / "plain.csv"
@@ -189,6 +207,15 @@ def test_load_labels(tmp_path):
     bad.write_text("0\n2\n")
     with pytest.raises(ParseError, match="line 2"):
         load_labels(bad)
+
+
+def test_load_labels_drops_only_a_leading_bom(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("\ufeff0\n1\n", encoding="utf-8")
+    assert load_labels(path, expected_len=2).tolist() == [False, True]
+    path.write_text("0\n\ufeff1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 2: expected 0 or 1, got '\\ufeff1'"):
+        load_labels(path)
 
 
 def _labels_outcome(path, expected_len=None):

@@ -355,6 +355,37 @@ def test_gradient_forecast_only_supervision():
 
 
 @pytest.mark.parametrize("cfg", [
+    ModelConfig.for_forecast(16, 8, 4, 0, 2, Supervision.FORECAST_ONLY),  # reaches Nyquist
+    ModelConfig.for_forecast(32, 8, 8, 1, 3, Supervision.FORECAST_ONLY),  # 15 -> 18 of 20
+], ids=["nyquist", "below-nyquist"])
+def test_forecast_only_gradient_is_conj_z_r_synthesis_adjoint(monkeypatch, cfg):
+    # [db; dW] = conj(z~)^T r S^H in complex arithmetic: z~ = [std, rfft(x - mean)
+    # bins 1..n_in] per instance channel, r = (2 / m) (y - t) over the horizon, and
+    # S the complex synthesis with Re(Y S) = irfft([0, Y])[-H:], built bin by bin
+    # from irfft's response to a unit real and a unit imaginary part
+    rows, n = cfg.target_rows, cfg.output_len
+    rng = np.random.default_rng(cfg.input_len)
+    layer = init_params(cfg, 43)
+    layer.bias[:] = rng.normal(size=cfg.n_out) + 1j * rng.normal(size=cfg.n_out)
+    x = rng.normal(size=(5, cfg.input_len, cfg.channels)) * 2.0 + 5.0
+    t = rng.normal(size=(5, rows, cfg.channels)) * 2.0 + 4.0
+    inputs = x.transpose(0, 2, 1).reshape(-1, cfg.input_len)
+    mean = inputs.mean(axis=1, keepdims=True)
+    z = np.fft.rfft(inputs - mean)[:, : 1 + cfg.n_in]
+    z[:, 0] = np.maximum(inputs.std(axis=1), model.RIN_EPS)
+    unit = np.eye(cfg.n_out + 1)[1:]
+    synth = np.fft.irfft(unit, n)[:, -rows:] - 1j * np.fft.irfft(1j * unit, n)[:, -rows:]
+    y = (z @ np.concatenate((layer.bias[None], layer.weight)) @ synth).real + mean
+    r = 2.0 / t.size * (y - t.transpose(0, 2, 1).reshape(-1, rows))
+    want = np.conj(z).T @ r @ synth.conj().T
+    for halves in (False, True):
+        monkeypatch.setattr(model, "_splits", lambda cfg, windows: halves)
+        _, dw, db = model_backward(x, t, cfg, layer)
+        got = np.concatenate((db[None], dw))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("cfg", [
     ModelConfig.for_forecast(16, 8, 4, 0, 2),  # harmonic 0: the layer reaches Nyquist
     ModelConfig.for_forecast(32, 8, 8, 1, 2),  # 15 -> 18 of 20 bins: no Nyquist
     ModelConfig.for_reconstruction(24, 2, 2),

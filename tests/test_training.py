@@ -686,6 +686,23 @@ def test_an_empty_window_set_is_refused_before_any_pass():
         training.validation_statistics(cfg, empty)
 
 
+@pytest.mark.parametrize("target_shape, message", [
+    ((24, 1), r"target must be \(24, 2\) or \(B, 24, 2\), got shape \(5, 24, 1\)"),
+    ((24, 3), r"target must be \(24, 2\) or \(B, 24, 2\), got shape \(5, 24, 3\)"),
+    ((30, 2), "30 target rows exceed the 24-row output window"),
+], ids=["1-channel", "3-channel", "longer-than-the-window"])
+def test_scoring_refuses_targets_the_config_cannot_produce(target_shape, message):
+    # every scoring pass checks its targets as model_backward does
+    cfg = ModelConfig.for_forecast(16, 8, 4, 1, 2)
+    rng = np.random.default_rng(9)
+    windows = ArrayWindows(rng.normal(size=(5, 16, 2)), rng.normal(size=(5, *target_shape)))
+    for score in (lambda: evaluate(cfg, init_params(cfg, 0), windows),
+                  lambda: training.validation_statistics(cfg, windows),
+                  lambda: training.exact_fit(cfg, windows)):
+        with pytest.raises(ShapeError, match=message):
+            score()
+
+
 def test_exact_fit_refuses_non_finite_normal_equations():
     cfg, windows, _ = _geometry("channels-whole-window")
     targets = windows.targets.copy()
@@ -724,11 +741,12 @@ def test_exact_fit_does_not_depend_on_the_worker(monkeypatch):
 
 # --- forecasting quality ------------------------------------------------------------
 
-def _periodic_split(noise):
-    """(train, val, test) windows of a standardized 600 x 2 series of sinusoids of
+def _periodic_split(noise, length=600, input_len=48, horizon=24,
+                    supervision=Supervision.BACKCAST_AND_FORECAST):
+    """(train, val, test) windows of a standardized length x 2 series of sinusoids of
     periods 24, 12 and 8, plus N(0, noise^2) noise, and the standardized noise
     variance averaged over the channels."""
-    t = np.arange(600)
+    t = np.arange(length)
     rows = np.column_stack([np.sin(2 * np.pi * t / 24) + 0.5 * np.cos(2 * np.pi * t / 8 + 0.3),
                             0.8 * np.cos(2 * np.pi * t / 12 - 1.0)
                             + 0.3 * np.sin(2 * np.pi * t / 24 + 2.0)])
@@ -737,7 +755,7 @@ def _periodic_split(noise):
     profile = DatasetProfile("periodic", 24, SplitRule.RATIO_70_10_20)
     (_, train_rows), _, _ = chrono_split(frame, profile)
     frame, stats = standardize(frame, (0, train_rows))
-    windows = split_windows(frame, profile, 48, 24, Supervision.BACKCAST_AND_FORECAST)
+    windows = split_windows(frame, profile, input_len, horizon, supervision)
     return windows, float(np.mean(frame.values ** 2)), float(np.mean(noise ** 2 / stats.std ** 2))
 
 
@@ -765,6 +783,41 @@ def test_exact_fit_of_a_noisy_periodic_series():
     # val MSE 0.0171 = 0.81 of the standardized noise variance (seeds 0-4: 0.81-1.40)
     val_mse = evaluate(PERIODIC, exact, val_w, 24)[0]
     assert 0.5 * noise_var <= val_mse <= 2.0 * noise_var
+
+
+def _linear_ceiling(windows, horizon):
+    """The least horizon MSE of any map from [std, x - mean] to t - mean that is
+    linear and shared across channels: the min-norm least-squares fit's."""
+    inputs = windows.inputs.transpose(0, 2, 1).reshape(-1, windows.inputs.shape[1])
+    targets = windows.targets[:, -horizon:].transpose(0, 2, 1).reshape(-1, horizon)
+    mean = inputs.mean(axis=1, keepdims=True)
+    features = np.column_stack((np.maximum(inputs.std(axis=1), model.RIN_EPS), inputs - mean))
+    fit = np.linalg.lstsq(features, targets - mean, rcond=None)[0]
+    return float(np.mean((features @ fit - (targets - mean)) ** 2))
+
+
+@pytest.mark.parametrize("supervision", list(Supervision), ids=lambda s: s.value)
+@pytest.mark.parametrize("harmonic", [0, 1, 2])
+@pytest.mark.parametrize("input_len, horizon", [(32, 16), (48, 24)])
+def test_no_layer_beats_the_linear_ceiling(input_len, horizon, harmonic, supervision):
+    # every FITS forecast minus the mean is linear in [std, x - mean], shared across
+    # channels, so no layer's horizon MSE is below that least-squares fit's
+    # (measured on the train windows at L=48, H=24: ceiling 0.0211, exact fits
+    # 0.0215-0.0235, the 3-epoch Adam and random layers above 1.1)
+    (train_w, val_w, test_w), _, _ = _periodic_split(0.1, 300, input_len, horizon,
+                                                     supervision)
+    cfg = ModelConfig.for_forecast(input_len, horizon, 24, harmonic, 2, supervision)
+    whole = replace(cfg, supervision=Supervision.BACKCAST_AND_FORECAST)
+    (whole_train, _, _), _, _ = _periodic_split(0.1, 300, input_len, horizon)
+    layers = [init_params(cfg, seed) for seed in range(3)]
+    for seed, layer in enumerate(layers):
+        layer.bias[:] = np.random.default_rng(seed).normal(size=(cfg.n_out, 2)) @ [1, 1j]
+    layers.append(training.exact_fit(whole, whole_train))
+    layers.append(train(cfg, init_params(cfg, 0), train_w, val_w, TrainSpec(max_epochs=3))[0])
+    for windows in (train_w, test_w):
+        ceiling = _linear_ceiling(windows, horizon)
+        for layer in layers:
+            assert evaluate(cfg, layer, windows, horizon)[0] >= ceiling * (1.0 - 1e-9)
 
 
 # --- what a cell's seeds share ----------------------------------------------------
