@@ -29,7 +29,8 @@ from . import anomaly as ad
 from . import data as dat
 from . import model as mdl
 from . import training as trn
-from .errors import ConfigError, FreqcastError, InvalidArgumentError, InvalidLengthError
+from .errors import (ConfigError, FreqcastError, InvalidArgumentError, InvalidLengthError,
+                     InvalidValueError)
 
 DATA_ROOT_ENV = "FREQCAST_DATA"
 DETECT_WINDOW_FACTOR = {"window": 200, "factor": 4}
@@ -260,7 +261,11 @@ def _write_atomic(path: Path, writer) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`payload` as indented JSON; a non-finite number raises before any write."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidValueError(f"{path.name} would hold a non-finite number ({exc})") from None
     _write_atomic(path, lambda p: p.write_text(text, encoding="utf-8"))
 
 
@@ -284,16 +289,6 @@ def _check_forecast_cells(horizon: int, period: int, look_backs, harmonics,
             mdl.ModelConfig.for_forecast(look_back, horizon, period, harmonic, 1, supervision)
         except (InvalidArgumentError, InvalidLengthError) as exc:
             raise ConfigError(f"look-back {look_back}, horizon {horizon}: {exc}") from None
-
-
-def _check_look_backs(frame, profile: dat.DatasetProfile, horizon: int, look_backs) -> None:
-    """Refuse, before any cell trains, a look-back whose window some split cannot hold."""
-    splits = zip(("train", "val", "test"), dat.chrono_split(frame, profile))
-    for (name, split), look_back in itertools.product(splits, look_backs):
-        lo, hi = dat.lookback_extended(split, look_back)  # the train split starts at row 0
-        if hi - lo < look_back + horizon:
-            raise InvalidLengthError(f"look-back {look_back}: the {name} split has {hi - lo} "
-                                     f"rows, fewer than one {look_back + horizon}-row window")
 
 
 def _standardized_frame(cfg: dict, profile: dat.DatasetProfile,
@@ -323,11 +318,6 @@ def cmd_train(cfg: dict, run_dir: Path) -> None:
     )
     per_seed = [record for record, _, _ in runs]
     _, best, history = min(runs, key=lambda run: run[0]["val_mse"])  # first on ties
-
-    _write_atomic(run_dir / "model.ckpt",
-                  lambda p: mdl.save_checkpoint(p, model_cfg, best))
-    _write_atomic(run_dir / "history.csv",
-                  lambda p: trn.write_history_csv(p, history))
     keys = ("val_mse", "val_mae", "test_mse", "test_mae")
     metrics = {
         "config": _config_echo(cfg, model_cfg),
@@ -335,7 +325,12 @@ def cmd_train(cfg: dict, run_dir: Path) -> None:
         "mean": {k: float(np.mean([p[k] for p in per_seed])) for k in keys},
         "std": {k: float(np.std([p[k] for p in per_seed])) for k in keys},
     }
+    # first, so metrics a strict JSON reader refuses leave no run directory
     write_json(run_dir / "metrics.json", metrics)
+    _write_atomic(run_dir / "model.ckpt",
+                  lambda p: mdl.save_checkpoint(p, model_cfg, best))
+    _write_atomic(run_dir / "history.csv",
+                  lambda p: trn.write_history_csv(p, history))
     print(f"run dir: {run_dir}")
     print(f"mean test MSE: {metrics['mean']['test_mse']:.6f}")
 
@@ -378,7 +373,8 @@ def cmd_grid(cfg: dict, run_dir: Path) -> None:
                           cfg["harmonics"], cfg["supervisions"])
     pinned = _grid_config_to_pin(cfg, run_dir)  # before any data is read
     frame = _standardized_frame(cfg, profile, None)
-    _check_look_backs(frame, profile, cfg["horizon"], cfg["look_backs"])
+    for look_back in cfg["look_backs"]:  # every split holds a window before any cell trains
+        dat.window_ranges(frame, profile, look_back, cfg["horizon"])
     if pinned is not None:  # a run that fails before its first cell leaves no directory
         write_json(run_dir / "config.json", pinned)
     grid_path = run_dir / "grid.csv"
@@ -469,6 +465,8 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
         frame, labels = dat.split_label_column(frame, cfg["label_column"])
     else:
         labels = dat.load_labels(resolve_data_path(cfg["labels"]), frame.length)
+    if model_cfg is not None:
+        _check_channels(model_cfg, frame)
 
     split = cfg["train_rows"]
     if not 0 < split < frame.length:
@@ -484,9 +482,7 @@ def cmd_detect(cfg: dict, run_dir: Path) -> None:
     frame_std, _ = dat.standardize(frame, (0, split))
     values = frame_std.values
 
-    if model_cfg is not None:
-        _check_channels(model_cfg, frame)
-    else:
+    if model_cfg is None:
         model_cfg = mdl.ModelConfig.for_reconstruction(window, factor, frame.channels)
         layer = trn.exact_fit(model_cfg, ad.reconstruction_windows(values[:split], window, factor))
         _write_atomic(run_dir / "model.ckpt",

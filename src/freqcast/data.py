@@ -274,12 +274,6 @@ def chrono_split(frame: SeriesFrame, profile: DatasetProfile):
     return (0, edges[0]), (edges[0], edges[1]), (edges[1], edges[2])
 
 
-def lookback_extended(split_range: tuple[int, int], input_len: int) -> tuple[int, int]:
-    """Extend a val/test range backward by input_len - 1 rows (border convention)."""
-    start, end = split_range
-    return max(start - (input_len - 1), 0), end
-
-
 @dataclass(frozen=True)
 class ChannelStats:
     mean: np.ndarray
@@ -410,16 +404,25 @@ class WindowSet(ArrayWindows):
                   slice(supervision.target_start(input_len), None))
 
 
+def window_ranges(frame: SeriesFrame, profile: DatasetProfile, input_len: int,
+                  horizon: int) -> tuple[tuple[int, int], ...]:
+    """The `chrono_split` ranges, val and test reaching back input_len - 1 rows; the
+    first too short for one input_len + horizon row window raises InvalidLengthError."""
+    span = input_len + horizon
+    ranges = tuple((max(start - (input_len - 1), 0), end)
+                   for start, end in chrono_split(frame, profile))
+    for name, (start, end) in zip(("train", "val", "test"), ranges):
+        if end - start < span:
+            raise InvalidLengthError(f"look-back {input_len}: the {name} split has "
+                                     f"{end - start} rows, fewer than one {span}-row window")
+    return ranges
+
+
 def split_windows(frame: SeriesFrame, profile: DatasetProfile, input_len: int,
                   horizon: int, supervision: Supervision):
-    """(train, val, test) WindowSets with the border extension applied."""
-    train_r, val_r, test_r = chrono_split(frame, profile)
-    train = WindowSet(frame.values[train_r[0]:train_r[1]], input_len, horizon, supervision)
-    val_e = lookback_extended(val_r, input_len)
-    test_e = lookback_extended(test_r, input_len)
-    val = WindowSet(frame.values[val_e[0]:val_e[1]], input_len, horizon, supervision)
-    test = WindowSet(frame.values[test_e[0]:test_e[1]], input_len, horizon, supervision)
-    return train, val, test
+    """(train, val, test) WindowSets over the `window_ranges` rows."""
+    return tuple(WindowSet(frame.values[start:end], input_len, horizon, supervision)
+                 for start, end in window_ranges(frame, profile, input_len, horizon))
 
 
 # --- synthetic anomaly benchmark -------------------------------------------

@@ -865,6 +865,47 @@ def test_grid_refuses_an_unwindowable_look_back_before_any_cell(tmp_path, sine_c
     assert not cells and not list(out.rglob("*"))  # no config.json, no run directory
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "grid"])
+def test_train_eval_and_grid_refuse_a_short_split_alike(tmp_path, capsys, command):
+    t = np.arange(200)
+    data = tmp_path / "short.csv"
+    write_series_csv(data, np.stack([np.sin(np.pi * t / 2), np.cos(np.pi * t / 2)], axis=1),
+                     ["a", "b"])
+    keys = {"train": {"input_len": 40, "horizon": 30, "max_epochs": 1, "seeds": "0"},
+            "grid": {"look_backs": 40, "horizon": 30, "harmonics": 1, "max_epochs": 1,
+                     "seeds": "0"}}.get(command, {})
+    cfg = write_config(tmp_path, "c.cfg", data=data, timestamp_column="false", period=4, **keys)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r")]
+    if command == "eval":
+        model_cfg = ModelConfig.for_forecast(40, 30, 4, 1, 2, Supervision.BACKCAST_AND_FORECAST)
+        save_checkpoint(tmp_path / "m.ckpt", model_cfg, init_params(model_cfg, 0))
+        argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    # the val split's 20 rows reach back 39 rows into the train split
+    assert capsys.readouterr().err == ("error: look-back 40: the val split has 59 rows, "
+                                       "fewer than one 70-row window\n")
+    assert not list((tmp_path / "r").rglob("*"))
+
+
+def test_train_refuses_overflowing_test_metrics_without_a_run_directory(tmp_path, capsys):
+    t = np.arange(400)
+    values = np.sin(2 * np.pi * t / 24)[:, None]
+    values[330:] *= 1e300  # test rows far outside the train scale
+    data = tmp_path / "huge.csv"
+    write_series_csv(data, values, ["a"])
+    cfg = write_config(tmp_path, "t.cfg", data=data, timestamp_column="false", period=24,
+                       input_len=48, horizon=24, max_epochs=1, seeds="0")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the test MSE overflows
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "metrics.json would hold a non-finite number" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list((tmp_path / "r").rglob("*"))  # no model.ckpt or history.csv either
+
+
 def test_grid_resume_refuses_a_changed_config_before_reading_data(tmp_path, sine_csv, capsys):
     argv = _resume_finished_grid(tmp_path, sine_csv)
     run_dir = Path(argv[-1])
@@ -1162,6 +1203,25 @@ def _detect_no_scored_positive(tmp_path, sine_csv):
     return _detect_argv(tmp_path, sine_csv, "--train-first", labels=tmp_path / "early.csv")
 
 
+def _detect_other_channels(train_rows):
+    """A 1-channel checkpoint on the 2-channel series, scoring from `train_rows`."""
+    def make_argv(tmp_path, sine_csv):
+        ckpt = _recon_checkpoint(tmp_path, 40, 4, 1)
+        return _detect_argv(tmp_path, sine_csv, "--checkpoint", str(ckpt), "--set",
+                            f"train_rows={train_rows}", labels=tmp_path / "labels.csv")
+    return make_argv
+
+
+def _eval_overflowing_forecasts(tmp_path, sine_csv):
+    model_cfg = ModelConfig.for_forecast(32, 8, 24, 1, 2, Supervision.BACKCAST_AND_FORECAST)
+    layer = init_params(model_cfg, 0)
+    layer.weight[...] *= 1e300  # finite weights whose forecasts' squares overflow
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, model_cfg, layer)
+    cfg = write_config(tmp_path, "e.cfg", data=sine_csv, timestamp_column="false", period=24)
+    return ["eval", "--config", str(cfg), "--out", str(tmp_path / "r"), "--checkpoint", str(ckpt)]
+
+
 def _train_run(tmp_path, sine_csv):
     cfg = write_config(tmp_path, "t.cfg", data=sine_csv, period=24,
                        timestamp_column="false", input_len=32, horizon=8)
@@ -1252,6 +1312,13 @@ def _plus(make_argv, *extra):
     (_label_column_holding_2, 3, "column 'label' contains values other than 0/1"),
     # refused before the fit, so no model.ckpt is left behind
     (_detect_no_scored_positive, 3, "the 110 scored rows after train_rows 150 hold no positive"),
+    # a checkpoint's channels are checked before detect's range and label rules
+    pytest.param(_detect_other_channels(215), 2, "checkpoint was trained on 1 channels, "
+                 "dataset has 2", id="detect other channels, no scored positive"),
+    pytest.param(_detect_other_channels(230), 2, "checkpoint was trained on 1 channels, "
+                 "dataset has 2", id="detect other channels, tail under a window"),
+    # Infinity is not JSON, so no metrics.json is written
+    (_eval_overflowing_forecasts, 3, "metrics.json would hold a non-finite number"),
     (_train_without_period, 2, "either 'profile' or 'period' must be set"),
     pytest.param(_plus(_train_run, "--set", "max_epochs=x"), 2,
                  "key 'max_epochs': expected an integer, got 'x'", id="max_epochs=x"),

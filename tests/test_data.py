@@ -24,11 +24,11 @@ from freqcast.data import (
     chrono_split,
     load_csv,
     load_labels,
-    lookback_extended,
     split_label_column,
     split_windows,
     standardize,
     synth_anomaly,
+    window_ranges,
     write_labels_csv,
     write_series_csv,
 )
@@ -425,9 +425,42 @@ def test_chrono_split_ett_rules():
     assert (train, val, test) == ((0, 34560), (34560, 46080), (46080, 57600))
 
 
-def test_lookback_extension():
-    assert lookback_extended((80, 100), 96) == (0, 100)  # clamped at the start
-    assert lookback_extended((70, 80), 16) == (55, 80)
+def test_window_ranges_reach_back_and_refuse_a_short_split():
+    frame = SeriesFrame(np.zeros((100, 1)), ["x"])
+    profile = DatasetProfile("toy", 24, SplitRule.RATIO_70_10_20)
+    # val (70, 80) and test (80, 100) reach back 15 rows for look-back 16
+    assert window_ranges(frame, profile, 16, 4) == ((0, 70), (55, 80), (65, 100))
+    # a look-back reaching back past row 0 is the train split's refusal
+    with pytest.raises(InvalidLengthError, match="^look-back 96: the train split has 70 rows, "
+                       "fewer than one 100-row window$"):
+        window_ranges(frame, profile, 96, 4)
+    with pytest.raises(InvalidLengthError, match="^look-back 16: the val split has 25 rows, "
+                       "fewer than one 26-row window$"):
+        window_ranges(frame, profile, 16, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(1, 400), input_len=st.integers(1, 80), horizon=st.integers(1, 40),
+       supervision=st.sampled_from(list(Supervision)))
+def test_window_ranges_refuse_exactly_the_splits_too_short_for_a_window(
+        length, input_len, horizon, supervision):
+    frame = SeriesFrame(np.zeros((length, 1)), ["x"])
+    profile = DatasetProfile("toy", 24, SplitRule.RATIO_70_10_20)
+    n_train, n_val = int(0.7 * length), int(0.1 * length)
+    # val and test start input_len - 1 rows early, but not before row 0
+    rows = {"train": n_train,
+            "val": n_train + n_val - max(n_train - (input_len - 1), 0),
+            "test": length - max(n_train + n_val - (input_len - 1), 0)}
+    span = input_len + horizon
+    short = [name for name, count in rows.items() if count < span]
+    if short:
+        with pytest.raises(InvalidLengthError) as info:
+            split_windows(frame, profile, input_len, horizon, supervision)
+        assert str(info.value) == (f"look-back {input_len}: the {short[0]} split has "
+                                   f"{rows[short[0]]} rows, fewer than one {span}-row window")
+    else:
+        windows = split_windows(frame, profile, input_len, horizon, supervision)
+        assert [len(w) for w in windows] == [count - span + 1 for count in rows.values()]
 
 
 def test_standardize_uses_train_rows_only():
